@@ -38,10 +38,8 @@
 //     fragments across queries keyed by (peer, atom pattern, bound-key-set
 //     hash), stamped with the serving peer's per-relation generation
 //     (piggybacked on every wire response) and served again only once that
-//     generation is confirmed current — via a row-free revalidation round
-//     trip, or for free within the configurable FragmentTrust window (the
-//     TTL fallback for peers mutated outside our view). A repeated
-//     identical cross-peer query ships (near) zero rows and bytes.
+//     generation is confirmed current by a row-free revalidation round
+//     trip. A repeated identical cross-peer query ships zero rows.
 //
 // Distributed execution lives in internal/netpeer: peers serve stored
 // relations over TCP (chunked streaming frames, O(chunk) memory per

@@ -55,10 +55,8 @@
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical
 // rewritings — the common case once reformulation fans a query into a UCQ —
-// skips planning entirely. A PlanCache may be shared across engines: plans
-// fix only join order and probe shapes, never data, so cross-instance reuse
-// is sound (the netpeer executor shares one cache across its per-join
-// scratch engines).
+// skips planning entirely. Plans fix only join order and probe shapes,
+// never data, so a cached plan stays sound as the instance grows.
 //
 // Datalog. EvalDatalog runs semi-naive evaluation with one compiled plan
 // per (rule, pivot-atom) pair: the pivot scans the previous round's delta,

@@ -63,11 +63,9 @@ func (f *fanOut) dispatch(workers, items int, worker func(queue <-chan int)) err
 	return f.firstErr
 }
 
-// PlanCache caches compiled plans keyed by canonicalized query. One cache
-// may be shared by several engines (e.g. netpeer's executor creates a
-// scratch engine per cross-peer join but reuses plans across calls): a plan
-// fixes only the join order and probe shapes, never data, so reuse across
-// instances is always sound.
+// PlanCache caches an engine's compiled plans keyed by canonicalized
+// query. A plan fixes only the join order and probe shapes, never data, so
+// a cached plan stays sound as the instance grows.
 type PlanCache struct {
 	lru *LRU
 }
@@ -190,11 +188,7 @@ type Engine struct {
 	// data is the storage view every read path (scans, probes, indexes,
 	// stats) consumes; the engine never depends on the concrete in-memory
 	// representation behind it.
-	data store.Instance
-	// ins is the concrete instance behind data when the engine was built
-	// over one (New/NewWithPlanCache); nil for engines over other backends
-	// (NewFromStore). Only the Instance() escape hatch reads it.
-	ins   *rel.Instance
+	data  store.Instance
 	plans *PlanCache
 
 	// uniformCost disables the distinct-value cost model, restoring the
@@ -215,31 +209,10 @@ type Engine struct {
 	indexesBuilt  atomic.Uint64
 }
 
-// New returns an engine over ins with a private plan cache.
+// New returns an engine over ins with its own plan cache.
 func New(ins *rel.Instance) *Engine {
-	return NewWithPlanCache(ins, NewPlanCache(1024))
+	return &Engine{data: store.InstanceOf(ins), plans: NewPlanCache(1024), indexes: map[string]map[string]*index{}}
 }
-
-// NewWithPlanCache returns an engine over ins sharing the given plan cache.
-func NewWithPlanCache(ins *rel.Instance, pc *PlanCache) *Engine {
-	e := NewFromStore(store.InstanceOf(ins), pc)
-	e.ins = ins
-	return e
-}
-
-// NewFromStore returns an engine over an arbitrary storage backend sharing
-// the given plan cache (nil for a private one). Instance() returns nil for
-// such engines — there is no concrete rel.Instance behind them.
-func NewFromStore(data store.Instance, pc *PlanCache) *Engine {
-	if pc == nil {
-		pc = NewPlanCache(1024)
-	}
-	return &Engine{data: data, plans: pc, indexes: map[string]map[string]*index{}}
-}
-
-// Instance returns the concrete instance the engine was built over, or nil
-// when the engine runs over a non-rel backend (NewFromStore).
-func (e *Engine) Instance() *rel.Instance { return e.ins }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {

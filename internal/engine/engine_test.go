@@ -152,27 +152,6 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
-func TestSharedPlanCacheAcrossEngines(t *testing.T) {
-	pc := NewPlanCache(16)
-	q := lang.CQ{
-		Head: lang.NewAtom("q", lang.Var("y")),
-		Body: []lang.Atom{lang.NewAtom("E", lang.Const("a"), lang.Var("y"))},
-	}
-	for i := 0; i < 3; i++ {
-		ins := rel.NewInstance()
-		ins.MustAdd("E", "a", fmt.Sprintf("b%d", i))
-		e := NewWithPlanCache(ins, pc)
-		rows := mustEval(t, e, q)
-		if len(rows) != 1 || rows[0][0] != fmt.Sprintf("b%d", i) {
-			t.Fatalf("engine %d rows = %v", i, rows)
-		}
-	}
-	st := pc.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("plan cache stats = %+v, want 2 hits 1 miss", st)
-	}
-}
-
 func TestUnsafeQueryRejected(t *testing.T) {
 	e := New(rel.NewInstance())
 	q := lang.CQ{Head: lang.NewAtom("q", lang.Var("x"))}

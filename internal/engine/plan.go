@@ -16,8 +16,7 @@ import (
 // Variables live in a flat slot array instead of substitution maps. A plan
 // depends only on the query shape (plus cardinality and distinct-value
 // estimates at compile time, which affect ordering but never correctness),
-// so plans are cached and reused across evaluations and — via a shared
-// PlanCache — engines.
+// so plans are cached and reused across evaluations.
 type Plan struct {
 	steps     []planStep
 	nslots    int

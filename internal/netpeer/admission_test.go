@@ -297,7 +297,7 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 func TestPoolCapsDialStorm(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ex := NewExecutor()
-	ex.MaxConnsPerAddr = 4
+	ex.maxConnsPerAddr = 4
 	t.Cleanup(func() { ex.Close() })
 	if err := ex.Discover(addr); err != nil {
 		t.Fatal(err)
@@ -370,8 +370,8 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 	}
 
 	ex := NewExecutor()
-	ex.BusyRetries = 10000 // effectively retry-until-admitted for this test
-	ex.BusyBackoff = time.Millisecond
+	ex.busyRetries = 10000 // effectively retry-until-admitted for this test
+	ex.busyBackoff = time.Millisecond
 	t.Cleanup(func() { ex.Close() })
 	ex.Route("A.big", addr)
 
@@ -578,8 +578,8 @@ func TestCloseAbortsBusyBackoff(t *testing.T) {
 
 	ex := NewExecutor()
 	t.Cleanup(func() { ex.Close() })
-	ex.BusyRetries = 1 << 20 // never exhausted while the slot stays pinned
-	ex.BusyBackoff = maxBusyBackoff
+	ex.busyRetries = 1 << 20 // never exhausted while the slot stays pinned
+	ex.busyBackoff = maxBusyBackoff
 	ex.Route("A.big", addr)
 	errCh := make(chan error, 1)
 	go func() {

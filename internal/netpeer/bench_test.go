@@ -4,21 +4,19 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
-// BenchmarkBindJoin compares bind-join against legacy fetch-and-join on a
-// skewed cross-peer join: the bound side holds 8 keys, the remote relation
-// holds 20k rows of which only ~160 join. Bind-join ships the 8 keys and
-// receives ~160 rows; fetch-and-join pulls all 20k. The reported
-// rows-fetched/op and bytes-recv/op metrics make the shipping gap visible
-// next to the wall-clock difference.
+// BenchmarkBindJoin measures bind-join on a skewed cross-peer join: the
+// bound side holds 8 keys, the remote relation holds 20k rows of which
+// only ~160 join. Bind-join ships the 8 keys and receives ~160 rows; the
+// reported rows-fetched/op and bytes-recv/op metrics make the shipping
+// saving against the 20k-row relation visible next to the wall-clock
+// cost.
 func BenchmarkBindJoin(b *testing.B) {
 	const (
 		bigRows   = 20000
@@ -43,21 +41,14 @@ func BenchmarkBindJoin(b *testing.B) {
 
 	for _, mode := range []struct {
 		name     string
-		fetchAll bool
 		pipeline int
 	}{
-		{"bindjoin", false, 0},     // streaming, pipelined (default depth)
-		{"bindjoin-seq", false, 1}, // streaming, sequential batch round trips
-		{"fetchall", true, 0},      // legacy whole-relation fetch baseline
+		{"bindjoin", defaultBindPipeline}, // streaming, pipelined
+		{"bindjoin-seq", 1},               // streaming, sequential batch round trips
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FetchAll = mode.fetchAll
-			ex.BindPipeline = mode.pipeline
-			// This benchmark measures the wire path itself; the cross-query
-			// fragment cache would serve every iteration after the first
-			// (see BenchmarkFragmentCacheRepeat for that).
-			ex.FragmentCacheOff = true
+			ex.bindPipeline = mode.pipeline
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {
@@ -67,6 +58,10 @@ func BenchmarkBindJoin(b *testing.B) {
 			base := ex.WireStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// This benchmark measures the wire path itself; the
+				// cross-query fragment cache would serve every iteration
+				// after the first (see BenchmarkFragmentCacheRepeat).
+				ex.frags.clear()
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
 					b.Fatal(err)
@@ -125,13 +120,12 @@ func BenchmarkBindJoinPipelined(b *testing.B) {
 		name     string
 		pipeline int
 	}{
-		{"pipelined", 0},
+		{"pipelined", defaultBindPipeline},
 		{"sequential", 1},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.BindPipeline = mode.pipeline
-			ex.FragmentCacheOff = true // isolate the pipelining effect
+			ex.bindPipeline = mode.pipeline
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {
@@ -141,6 +135,7 @@ func BenchmarkBindJoinPipelined(b *testing.B) {
 			base := ex.WireStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ex.frags.clear() // isolate the pipelining effect
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
 					b.Fatal(err)
@@ -222,7 +217,6 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 		u.Add(q)
 	}
 	ex := NewExecutor()
-	ex.FragmentCacheOff = true // measure the fan-out, not the cache
 	defer ex.Close()
 	for _, a := range []string{addr1, addr2} {
 		if err := ex.Discover(a); err != nil {
@@ -231,6 +225,7 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ex.frags.clear() // measure the fan-out, not the cache
 		rows, err := ex.EvalUCQ(u)
 		if err != nil {
 			b.Fatal(err)
@@ -243,12 +238,11 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 
 // BenchmarkFragmentCacheRepeat is the repeated-bind-join headline: the
 // same skewed cross-peer join as BenchmarkBindJoin, issued repeatedly
-// through one executor. "off" refetches every fragment per query; "reval"
-// (the default FragmentTrust=0 mode) serves cached fragments after one
-// row-free gens round trip per atom; "trusted" (FragmentTrust well above
-// the benchmark duration) answers repeats with zero network traffic. The
-// rows-fetched/op and bytes-recv/op metrics show the second and later
-// identical queries shipping (near) zero.
+// through one executor. "cold" empties the cache before every query, so
+// every fragment is refetched; "reval" serves cached fragments after one
+// row-free gens round trip per atom. The rows-fetched/op and
+// bytes-recv/op metrics show the second and later identical queries
+// shipping zero rows.
 func BenchmarkFragmentCacheRepeat(b *testing.B) {
 	const (
 		bigRows   = 20000
@@ -271,18 +265,14 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name  string
-		off   bool
-		trust time.Duration
+		name string
+		cold bool
 	}{
-		{"off", true, 0},
-		{"reval", false, 0},
-		{"trusted", false, time.Hour},
+		{"cold", true},
+		{"reval", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FragmentCacheOff = mode.off
-			ex.FragmentTrust = mode.trust
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {
@@ -298,6 +288,9 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			fragBase := ex.FragmentStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if mode.cold {
+					ex.frags.clear()
+				}
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
 					b.Fatal(err)
@@ -426,7 +419,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FragmentCacheOff = true // measure the wire path every iteration
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {
@@ -437,6 +429,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			tr.SetSampleEvery(mode.sample)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ex.frags.clear() // measure the wire path every iteration
 				root := tr.StartTrace("query")
 				rows, err := ex.EvalUCQSpan(u, root)
 				root.End()
@@ -445,85 +438,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				}
 				if len(rows) != keys*bigRows/distinct {
 					b.Fatalf("rows = %d", len(rows))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSpilledJoinOverBudget is the larger-than-RAM-budget join at
-// smoke scale: the materialized partial join is ~100x the executor's spill
-// budget, so nearly all of it must flow through spill segments while the
-// resident tail stays within the budget. The spilled-bytes/op and
-// join-bytes metrics make the ratio visible next to the wall-clock cost;
-// the inmemory mode is the same join with spilling disabled, pinning the
-// overhead the durable path pays.
-func BenchmarkSpilledJoinOverBudget(b *testing.B) {
-	const (
-		nKeys  = 400
-		fanout = 8
-		budget = 16 << 10
-	)
-	left := map[string][]rel.Tuple{"SB.left": nil}
-	right := map[string][]rel.Tuple{"SB.right": nil}
-	for i := 0; i < nKeys; i++ {
-		left["SB.left"] = append(left["SB.left"],
-			rel.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("left-payload-%06d", i)})
-		for j := 0; j < fanout; j++ {
-			right["SB.right"] = append(right["SB.right"],
-				rel.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("right-payload-%06d-%02d", i, j)})
-		}
-	}
-	addr1 := startServer(b, left)
-	addr2 := startServer(b, right)
-	q, err := parser.ParseQuery(`q(x, p, r) :- SB.left(x, p), SB.right(x, r)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name   string
-		budget int64
-	}{
-		{"spilled", budget},
-		{"inmemory", 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := NewExecutor()
-			defer ex.Close()
-			ex.FragmentCacheOff = true // measure the join path, not the cache
-			if mode.budget > 0 {
-				ex.SpillDir, ex.SpillBudget = b.TempDir(), mode.budget
-			}
-			for _, a := range []string{addr1, addr2} {
-				if err := ex.Discover(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var joinBytes int64
-			base := store.SpillStatsSnapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := ex.EvalCQ(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != nKeys*fanout {
-					b.Fatalf("rows = %d", len(rows))
-				}
-				if joinBytes == 0 {
-					for _, t := range rows {
-						joinBytes += store.TupleBytes(t)
-					}
-				}
-			}
-			b.StopTimer()
-			st := store.SpillStatsSnapshot()
-			b.ReportMetric(float64(joinBytes), "join-bytes")
-			b.ReportMetric(float64(st.Bytes-base.Bytes)/float64(b.N), "spilled-bytes/op")
-			b.ReportMetric(float64(st.Loads-base.Loads)/float64(b.N), "spill-loads/op")
-			if mode.budget > 0 {
-				if spilled := int64(st.Bytes-base.Bytes) / int64(b.N); spilled < joinBytes/2 {
-					b.Fatalf("join stayed in memory: %dB spilled of %dB (budget %d)", spilled, joinBytes, mode.budget)
 				}
 			}
 		})

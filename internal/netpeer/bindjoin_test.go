@@ -26,7 +26,7 @@ func tuplesEqual(a, b []rel.Tuple) bool {
 
 // TestBindJoinFetchesFewerRows is the headline acceptance check: on a
 // skewed cross-peer join (small bound side, large remote side), bind-join
-// must ship at least 10x fewer rows than whole-relation fetching while
+// must ship at least 10x fewer rows than the large relation holds while
 // returning exactly the oracle's answers.
 func TestBindJoinFetchesFewerRows(t *testing.T) {
 	const big = 2000
@@ -58,45 +58,34 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 		t.Fatalf("oracle rows = %d", len(want))
 	}
 
-	run := func(fetchAll bool) (rows []rel.Tuple, fetched uint64) {
-		ex := NewExecutor()
-		ex.FetchAll = fetchAll
-		defer ex.Close()
-		for _, a := range []string{addr1, addr2} {
-			if err := ex.Discover(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := ex.WireStats().RowsFetched
-		rows, err := ex.EvalCQ(q)
-		if err != nil {
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
 			t.Fatal(err)
 		}
-		return rows, ex.WireStats().RowsFetched - before
 	}
-
-	bindRows, bindFetched := run(false)
-	fullRows, fullFetched := run(true)
-	if !tuplesEqual(bindRows, want) {
-		t.Fatalf("bind-join answers diverge: got %v want %v", bindRows, want)
+	before := ex.WireStats().RowsFetched
+	rows, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !tuplesEqual(fullRows, want) {
-		t.Fatalf("fetch-all answers diverge: got %v want %v", fullRows, want)
+	fetched := ex.WireStats().RowsFetched - before
+	if !tuplesEqual(rows, want) {
+		t.Fatalf("bind-join answers diverge: got %v want %v", rows, want)
 	}
-	if fullFetched < uint64(big) {
-		t.Fatalf("fetch-all fetched only %d rows, expected >= %d", fullFetched, big)
-	}
-	if bindFetched*10 > fullFetched {
-		t.Fatalf("bind-join fetched %d rows vs %d for fetch-all; want >= 10x reduction", bindFetched, fullFetched)
+	if fetched*10 > big {
+		t.Fatalf("bind-join fetched %d rows of a %d-row relation; want >= 10x reduction", fetched, big)
 	}
 }
 
-// TestFetchNameCollisionRegression pins the scratch-name fix: two atoms on
-// the same predicate whose old unescaped names ("pred|pos=const...")
-// collided — R with constant "x|1=y" at position 0 versus constants
-// "x","y" at positions 0 and 1 — must not share a fetch. With the old
-// encoding the second atom silently reused the first atom's (differently
-// selected) rows and the answer went missing.
+// TestFetchNameCollisionRegression pins the collision-free fetch keys: two
+// atoms on the same predicate whose unescaped selection patterns
+// ("pred|pos=const...") collide — R with constant "x|1=y" at position 0
+// versus constants "x","y" at positions 0 and 1 — must not share a fetch
+// or a cached fragment. With an unescaped encoding the second atom
+// silently reuses the first atom's (differently selected) rows and the
+// answer goes missing.
 func TestFetchNameCollisionRegression(t *testing.T) {
 	addr1 := startServer(t, map[string][]rel.Tuple{
 		"C.r": {{"x|1=y", "A"}, {"x", "y"}},
@@ -108,21 +97,21 @@ func TestFetchNameCollisionRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fetchAll := range []bool{false, true} {
-		ex := NewExecutor()
-		ex.FetchAll = fetchAll
-		for _, a := range []string{addr1, addr2} {
-			if err := ex.Discover(a); err != nil {
-				t.Fatal(err)
-			}
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
+			t.Fatal(err)
 		}
+	}
+	// The second run serves every atom from the fragment cache.
+	for run := 0; run < 2; run++ {
 		rows, err := ex.EvalCQ(q)
-		ex.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 1 || rows[0][0] != "A" || rows[0][1] != "ok" {
-			t.Fatalf("fetchAll=%v: rows = %v, want [[A ok]]", fetchAll, rows)
+			t.Fatalf("run %d: rows = %v, want [[A ok]]", run, rows)
 		}
 	}
 }
@@ -210,7 +199,9 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 // TestBindJoinDifferentialRandomized pins bind-join answers to the
 // single-instance engine oracle across randomized data partitions,
 // cross-peer CQs and UCQs (including constants, comparisons, repeated
-// atoms, and empty relations), for both bind-join and fetch-all paths.
+// atoms, and empty relations), with and without learned cardinalities
+// (the latter exercising the adaptive bind-vs-fetch switch) and at bind
+// pipeline depths 1-3.
 func TestBindJoinDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []string{"X.p", "X.q", "Y.r", "Y.s", "Z.t"}
@@ -233,17 +224,13 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 		addrs := []string{startServer(t, peerData[0]), startServer(t, peerData[1])}
 		for _, mode := range []struct {
 			name     string
-			fetchAll bool
 			discover bool // learn cardinalities → exercises the adaptive switch
 		}{
-			{"bind", false, false},
-			{"bind-adaptive", false, true},
-			{"fetchall", true, false},
+			{"bind", false},
+			{"bind-adaptive", true},
 		} {
-			fetchAll := mode.fetchAll
 			ex := NewExecutor()
-			ex.FetchAll = fetchAll
-			ex.BindPipeline = 1 + trial%3
+			ex.bindPipeline = 1 + trial%3
 			for _, p := range preds {
 				ex.Route(p, addrs[home[p]])
 			}
@@ -266,11 +253,11 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 			got, err := ex.EvalUCQ(u)
 			ex.Close()
 			if err != nil {
-				t.Fatalf("trial %d fetchAll=%v: %v\n%s", trial, fetchAll, err, u)
+				t.Fatalf("trial %d %s: %v\n%s", trial, mode.name, err, u)
 			}
 			if !tuplesEqual(got, want) {
-				t.Fatalf("trial %d fetchAll=%v: executor diverges from oracle on\n%s\ngot  %v\nwant %v",
-					trial, fetchAll, u, got, want)
+				t.Fatalf("trial %d %s: executor diverges from oracle on\n%s\ngot  %v\nwant %v",
+					trial, mode.name, u, got, want)
 			}
 		}
 	}

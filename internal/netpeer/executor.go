@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // maxFanout caps the worker pool evaluating UCQ disjuncts concurrently.
@@ -49,11 +47,10 @@ const defaultIdlePingAfter = 60 * time.Second
 //   - Atoms are ordered by the engine planner's selectivity heuristic
 //     (cardinalities learned at Discover time and refreshed from the
 //     estimates piggybacked on every response).
-//   - The partial join is materialized once and extended incrementally per
-//     atom — remote rows stream chunk by chunk straight into a hash join
-//     against it, so no per-step prefix re-evaluation and no whole-fragment
-//     buffering happens (the fetched-atom prefix used to be re-joined once
-//     per cross-peer atom).
+//   - The partial join is materialized once in memory and extended
+//     incrementally per atom — remote rows stream chunk by chunk straight
+//     into a hash join against it, so no per-step prefix re-evaluation and
+//     no whole-fragment buffering happens.
 //   - Per atom the executor ships the distinct join-key values bound so
 //     far ("bind" op) in pipelined batches, unless the peer's advertised
 //     cardinality says the whole selection-pushed relation is smaller than
@@ -62,73 +59,16 @@ const defaultIdlePingAfter = 60 * time.Second
 //   - Fetched and probed fragments are cached *across queries* keyed by
 //     (peer, canonical atom pattern, bound-key-set hash) in a size-bounded
 //     LRU. Every response piggybacks the serving peer's per-relation
-//     generation; a cached fragment is served again only once its stamped
-//     generation is confirmed current — by a tiny row-free "gens" round
-//     trip, or for free within the FragmentTrust window — so a repeat of
-//     an identical query ships (near) zero rows while mutations on the
-//     peer invalidate exactly the fragments of the mutated relation.
+//     generation; a cached fragment is served again only after a tiny
+//     row-free "gens" round trip confirms its stamped generation is still
+//     current, so a repeat of an identical query ships zero rows while
+//     mutations on the peer invalidate exactly the fragments of the
+//     mutated relation.
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
 // connection pools (a single Client is not safe for concurrent use).
 type Executor struct {
-	// FetchAll forces the legacy whole-relation fetch path for cross-peer
-	// rewritings — every atom is pulled with only its constant selections
-	// pushed down, no bound keys are shipped, and the join runs afterwards
-	// over a scratch engine. For benchmarks and differential tests; leave
-	// false for streaming bind-join execution.
-	FetchAll bool
-	// BindPipeline caps the bind batches in flight per connection
-	// (0 = defaultBindPipeline; 1 = sequential batch round trips, for
-	// benchmarks isolating the pipelining win).
-	BindPipeline int
-	// FragmentCacheOff disables the cross-query bind-fragment cache: every
-	// cross-peer atom is fetched from its peer on every query, as before
-	// the cache existed. For benchmarks isolating the wire path and for
-	// differential tests of the cache itself.
-	FragmentCacheOff bool
-	// FragmentTrust is the staleness budget of the fragment cache. Zero
-	// (the default) means a cached fragment is only served after a gens
-	// round trip confirms the serving peer's generation for its relation
-	// is unchanged — strongly consistent with the peer at revalidation
-	// time, while still shipping no rows. A positive duration lets the
-	// executor skip even that round trip while the relation's generation
-	// was observed (on any response from the peer) within the window:
-	// repeated queries then cost zero network traffic, at the price of
-	// serving up to FragmentTrust of staleness when a peer is mutated
-	// outside our view. Set before issuing queries.
-	FragmentTrust time.Duration
-	// IdlePingAfter is the idle age beyond which pooled connections are
-	// pinged before reuse (0 = defaultIdlePingAfter; negative disables
-	// health checks). Set before issuing queries: pools capture it when
-	// first created for an address.
-	IdlePingAfter time.Duration
-	// MaxConnsPerAddr caps total open connections (idle + borrowed) per
-	// peer address (0 = defaultMaxConnsPerAddr). Borrowers beyond the cap
-	// wait for a slot instead of dialing — the dial-storm guard. Set
-	// before issuing queries: pools capture it when first created.
-	MaxConnsPerAddr int
-	// BusyRetries is how many times a request shed by a peer's admission
-	// gate (in-band busy error) is retried after a jittered exponential
-	// backoff before the error surfaces (0 = defaultBusyRetries; negative
-	// disables retries). A shed request never started on the server, so
-	// the retry is safe for any op. Set before issuing queries.
-	BusyRetries int
-	// BusyBackoff is the base of the busy-retry backoff: retry i (from 0)
-	// sleeps a uniform random duration in (0, BusyBackoff<<i] — full
-	// jitter, so a shed burst does not come back as a synchronized burst
-	// (0 = defaultBusyBackoff). Set before issuing queries.
-	BusyBackoff time.Duration
-	// SpillDir / SpillBudget bound the memory of the materialized partial
-	// join: each partial-join buffer keeps at most SpillBudget accounted
-	// bytes (store.TupleBytes) in memory and overflows the rest to spill
-	// segments under SpillDir, streaming them back per atom with sequential
-	// reads — joins larger than RAM complete within the budget. An empty
-	// dir or non-positive budget keeps today's pure in-memory path. Set
-	// before issuing queries.
-	SpillDir    string
-	SpillBudget int64
-
 	mu sync.Mutex
 	// addr maps each stored relation to the address of the serving peer.
 	// Guarded by mu.
@@ -146,14 +86,6 @@ type Executor struct {
 	// Distinct extension are simply absent, and ordering falls back to
 	// cardinality alone. Guarded by mu.
 	dist map[string][]float64
-	// gens holds the latest per-relation generation observed for each
-	// routed relation, with the local time of the observation — refreshed
-	// from the piggyback on every response. Unlike card these carry a
-	// correctness contract: the fragment cache serves an entry only when
-	// its stamped generation equals a sufficiently fresh observation
-	// (within FragmentTrust, or from an explicit gens revalidation).
-	// Guarded by mu.
-	gens map[string]genObservation
 	// pools holds one connection pool per peer address. Guarded by mu.
 	pools map[string]*pool
 	// abort interrupts in-flight busy-retry backoff sleeps: Close closes
@@ -161,49 +93,35 @@ type Executor struct {
 	// pinning shutdown behind seconds of backoff) and installs a fresh one,
 	// since a closed executor stays usable. Guarded by mu.
 	abort chan struct{}
-	// plans is shared by the per-join scratch engines of the FetchAll path.
-	plans *engine.PlanCache
 	// frags caches cross-peer atom fragments across queries.
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
 	counters Counters
-}
 
-// genObservation is one piggybacked generation observation: the value and
-// when it was received (local clock; only compared against FragmentTrust).
-type genObservation struct {
-	gen uint64
-	at  time.Time
+	// Tuning, set by NewExecutor to the package defaults and never changed
+	// afterwards (in-package tests override them before the first query).
+	bindPipeline    int           // bind batches in flight per connection
+	idlePingAfter   time.Duration // idle age past which a pooled conn is pinged
+	maxConnsPerAddr int           // open connections (idle + borrowed) per peer
+	busyRetries     int           // retries of a request shed as busy
+	busyBackoff     time.Duration // base of the busy-retry backoff
 }
 
 // NewExecutor creates an executor with an empty routing table.
 func NewExecutor() *Executor {
 	return &Executor{
-		addr:  map[string]string{},
-		card:  map[string]int{},
-		dist:  map[string][]float64{},
-		gens:  map[string]genObservation{},
-		pools: map[string]*pool{},
-		abort: make(chan struct{}),
-		plans: engine.NewPlanCache(256),
-		frags: newFragCache(defaultFragEntries, defaultFragBytes),
+		addr:            map[string]string{},
+		card:            map[string]int{},
+		dist:            map[string][]float64{},
+		pools:           map[string]*pool{},
+		abort:           make(chan struct{}),
+		frags:           newFragCache(defaultFragEntries, defaultFragBytes),
+		bindPipeline:    defaultBindPipeline,
+		idlePingAfter:   defaultIdlePingAfter,
+		maxConnsPerAddr: defaultMaxConnsPerAddr,
+		busyRetries:     defaultBusyRetries,
+		busyBackoff:     defaultBusyBackoff,
 	}
-}
-
-// SetFragmentCacheLimits bounds the fragment cache (entries and tuple
-// value bytes); zero keeps the corresponding current bound. Shrinking
-// evicts immediately.
-func (e *Executor) SetFragmentCacheLimits(maxEntries int, maxBytes int64) {
-	e.frags.setLimits(maxEntries, maxBytes)
-}
-
-// SetFragmentCacheSpill bounds the fragment cache's *resident* bytes: past
-// memBudget, the coldest entries move their rows to spill files under dir
-// (store's segment frame format) and stream back on their next hit, so a
-// large cold working set costs disk instead of RAM. An empty dir or
-// non-positive budget keeps every entry resident.
-func (e *Executor) SetFragmentCacheSpill(dir string, memBudget int64) {
-	e.frags.setSpill(dir, memBudget)
 }
 
 // FragmentStats returns a snapshot of the cross-query fragment-cache
@@ -242,12 +160,10 @@ func (e *Executor) Discover(addr string) error {
 	return nil
 }
 
-// updateMeta folds cardinalities, generations and per-column distinct
-// estimates piggybacked on responses into the estimate and observation
-// tables (only for relations already known, so a response cannot invent
-// routes).
-func (e *Executor) updateMeta(preds []string, cards []int, gens []uint64, dists [][]float64) {
-	now := time.Now()
+// updateMeta folds cardinalities and per-column distinct estimates
+// piggybacked on responses into the estimate tables (only for relations
+// already known, so a response cannot invent routes).
+func (e *Executor) updateMeta(preds []string, cards []int, dists [][]float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, p := range preds {
@@ -259,17 +175,6 @@ func (e *Executor) updateMeta(preds []string, cards []int, gens []uint64, dists 
 		}
 		if i < len(dists) && len(dists[i]) > 0 {
 			e.dist[p] = dists[i]
-		}
-		if i < len(gens) {
-			// Generations are monotonic per relation, but responses from
-			// parallel connections land here in arbitrary order: an older
-			// frame's observation must not regress a newer one (it would
-			// make the trust window spuriously invalidate fragments that
-			// are current). An equal observation still refreshes the
-			// window.
-			if obs, ok := e.gens[p]; !ok || gens[i] >= obs.gen {
-				e.gens[p] = genObservation{gen: gens[i], at: now}
-			}
 		}
 	}
 }
@@ -290,9 +195,8 @@ func (e *Executor) WireStats() WireStats { return e.counters.Snapshot() }
 // Close closes all pooled connections, aborts in-flight busy-retry
 // backoff sleeps (their callers see the busy error immediately instead of
 // pinning Close behind up to seconds of backoff), and drops the fragment
-// cache (deleting its spill files). The executor stays usable: later calls
-// dial fresh connections, refill the cache, and retry busy errors as
-// usual.
+// cache. The executor stays usable: later calls dial fresh connections,
+// refill the cache, and retry busy errors as usual.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	pools := e.pools
@@ -312,18 +216,11 @@ func (e *Executor) Close() error {
 
 // pool returns (creating if needed) the connection pool for addr.
 func (e *Executor) pool(addr string) *pool {
-	pingAfter := e.IdlePingAfter
-	if pingAfter == 0 {
-		pingAfter = defaultIdlePingAfter
-	}
-	if pingAfter < 0 {
-		pingAfter = 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p, ok := e.pools[addr]
 	if !ok {
-		p = newPool(addr, &e.counters, e.updateMeta, pingAfter, e.MaxConnsPerAddr)
+		p = newPool(addr, &e.counters, e.updateMeta, e.idlePingAfter, e.maxConnsPerAddr)
 		e.pools[addr] = p
 	}
 	return p
@@ -338,17 +235,6 @@ func (e *Executor) pool(addr string) *pool {
 // the pending busy error surfaces immediately rather than holding the
 // caller (and shutdown) for the remaining backoff budget.
 func (e *Executor) withClient(addr string, fn func(*Client) error) error {
-	retries := e.BusyRetries
-	switch {
-	case retries == 0:
-		retries = defaultBusyRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := e.BusyBackoff
-	if backoff <= 0 {
-		backoff = defaultBusyBackoff
-	}
 	// Captured once at call start: a Close during any later backoff (or
 	// between attempts) of this call closes exactly this channel, while
 	// calls arriving after Close get the replacement and retry as usual.
@@ -358,7 +244,7 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = e.withClientOnce(addr, fn)
-		if err == nil || !errors.Is(err, ErrBusy) || attempt >= retries {
+		if err == nil || !errors.Is(err, ErrBusy) || attempt >= e.busyRetries {
 			return err
 		}
 		e.counters.busyRetries.Add(1)
@@ -366,7 +252,7 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 		// the retries of a shed burst instead of replaying it in lockstep.
 		// The step is capped so high retry budgets neither overflow the
 		// shift nor sleep unboundedly.
-		step := backoff
+		step := e.busyBackoff
 		for i := 0; i < attempt && step < maxBusyBackoff; i++ {
 			step <<= 1
 		}
@@ -517,9 +403,6 @@ func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 		}
 		return rows, nil
 	}
-	if e.FetchAll {
-		return e.evalFetchAll(q)
-	}
 	return e.evalStreamingBindJoin(q, sp)
 }
 
@@ -577,13 +460,13 @@ func shapeOf(a lang.Atom, boundVars map[string]bool) stepShape {
 
 // evalStreamingBindJoin runs a cross-peer rewriting as a streaming,
 // adaptive, pipelined bind-join. The partial join is materialized once as
-// tuples over the variables bound so far and extended in place per atom:
-// remote rows stream chunk by chunk into a hash join against it (no
-// scratch instance, no per-step prefix re-evaluation). Per atom the
-// executor ships the distinct bound join keys in pipelined batches — or,
-// when the advertised remote cardinality is smaller than the key set,
-// fetches the selection-pushed relation outright. Comparisons apply at the
-// first step that grounds them, so impossible keys are never shipped.
+// tuples over the variables bound so far and extended per atom: remote
+// rows stream chunk by chunk into a hash join against it (no scratch
+// instance, no per-step prefix re-evaluation). Per atom the executor ships
+// the distinct bound join keys in pipelined batches — or, when the
+// advertised remote cardinality is smaller than the key set, fetches the
+// selection-pushed relation outright. Comparisons apply at the first step
+// that grounds them, so impossible keys are never shipped.
 //
 // Under a non-nil span each atom gets one "atom" child annotated with the
 // peer address, the source (fragcache / bind / fetch), key and partial-row
@@ -608,21 +491,8 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 	varCol := map[string]int{} // variable -> column in partial rows
 	var varOrder []string
 	boundVars := map[string]bool{}
-	// The partial join lives in a spill-capable buffer: in memory while it
-	// fits the budget (the streaming hash join below runs exactly as
-	// before), on disk past it. Seeded with the unit row: identity of the
-	// join.
-	partial := store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-	var next *store.RowBuffer
-	defer func() {
-		partial.Close()
-		if next != nil {
-			next.Close()
-		}
-	}()
-	if err := partial.Append(rel.Tuple{}); err != nil {
-		return nil, err
-	}
+	// Seeded with the unit row: identity of the join.
+	partial := []rel.Tuple{{}}
 
 	for _, bi := range order {
 		a := q.Body[bi]
@@ -633,55 +503,31 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 		for i, v := range sh.joinVars {
 			joinCols[i] = varCol[v]
 		}
-		var kb []byte
-		// In-memory fast path: hash the partial rows on the join columns
-		// and stream remote tuples straight into the hash join. Once the
-		// partial has spilled, remote tuples are instead grouped by join
-		// key (the remote side is the semi-join-reduced, smaller side) and
-		// the partial streams back from disk in one sequential pass per
-		// atom to extend matches.
-		inMem := partial.InMemory()
-		var hash map[string][]int
-		if inMem {
-			rows := partial.Rows()
-			hash = make(map[string][]int, len(rows))
-			for i, row := range rows {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				hash[string(kb)] = append(hash[string(kb)], i)
-			}
-		}
-
-		// Distinct bound keys — the semi-join payload — and the adaptive
-		// choice: ship keys, or fetch the (selection-pushed) relation when
-		// its advertised cardinality is smaller than the key set.
+		// Hash the partial rows on the join columns, collecting the
+		// distinct bound keys — the semi-join payload — in first-seen order.
 		useBind := len(sh.joinVars) > 0
 		var keyRows [][]string
-		if useBind {
-			seenKey := map[string]bool{}
-			err := partial.Iterate(func(row rel.Tuple) error {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				if seenKey[string(kb)] {
-					return nil
-				}
-				seenKey[string(kb)] = true
+		var kb []byte
+		hash := make(map[string][]int, len(partial))
+		for i, row := range partial {
+			kb = kb[:0]
+			for _, c := range joinCols {
+				kb = engine.AppendKeyPart(kb, row[c])
+			}
+			idx, seen := hash[string(kb)]
+			if !seen && useBind {
 				key := make([]string, len(joinCols))
 				for j, c := range joinCols {
 					key[j] = row[c]
 				}
 				keyRows = append(keyRows, key)
-				return nil
-			})
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
 			}
+			hash[string(kb)] = append(idx, i)
+		}
+		// The adaptive choice: ship keys, or fetch the (selection-pushed)
+		// relation when its advertised cardinality is smaller than the key
+		// set.
+		if useBind {
 			if card, ok := e.cardOf(a.Pred); ok && card < len(keyRows) {
 				useBind = false
 			}
@@ -689,33 +535,20 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 
 		// join consumes one (already filtered, deduplicated) remote tuple.
 		// Both the wire path and the fragment-cache path feed it.
-		next = store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-		var remoteByKey map[string][]rel.Tuple
-		if !inMem {
-			remoteByKey = map[string][]rel.Tuple{}
-		}
-		join := func(t rel.Tuple) error {
+		var next []rel.Tuple
+		join := func(t rel.Tuple) {
 			kb = kb[:0]
 			for _, p := range sh.keyPoss {
 				kb = engine.AppendKeyPart(kb, t[p])
 			}
-			if !inMem {
-				remoteByKey[string(kb)] = append(remoteByKey[string(kb)], t)
-				return nil
-			}
-			rows := partial.Rows()
 			for _, pi := range hash[string(kb)] {
-				row := rows[pi]
 				nr := make(rel.Tuple, len(varOrder)+len(sh.newPoss))
-				copy(nr, row)
+				copy(nr, partial[pi])
 				for j, p := range sh.newPoss {
 					nr[len(varOrder)+j] = t[p]
 				}
-				if err := next.Append(nr); err != nil {
-					return err
-				}
+				next = append(next, nr)
 			}
-			return nil
 		}
 
 		addr := e.addrOf(a.Pred)
@@ -726,159 +559,22 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 
 		// Cross-query fragment cache: an identical fetch (same peer, same
 		// canonical atom pattern, same bound-key set) whose relation
-		// generation is confirmed unchanged is answered from memory — no
-		// rows cross the wire, at most one tiny gens revalidation round
-		// trip (none within the FragmentTrust window).
-		cacheable := !e.FragmentCacheOff
-		var fragKey string
-		served := false
-		if cacheable {
-			fragKey = fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
-			if rows, ok := e.fragLookup(addr, a.Pred, fragKey); ok {
-				for _, t := range rows {
-					if err := join(t); err != nil {
-						as.SetErr(err)
-						as.End()
-						return nil, err
-					}
-				}
-				served = true
-				as.Set("src", "fragcache")
-				as.SetInt("fetched", int64(len(rows)))
+		// generation a gens round trip confirms unchanged is answered from
+		// memory — no rows cross the wire.
+		fragKey := fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
+		if rows, ok := e.fragLookup(addr, a.Pred, fragKey); ok {
+			for _, t := range rows {
+				join(t)
 			}
+			as.Set("src", "fragcache")
+			as.SetInt("fetched", int64(len(rows)))
+		} else if err := e.fetchFragment(a, sh, addr, fragKey, keyRows, useBind, as, join); err != nil {
+			as.SetErr(err)
+			as.End()
+			return nil, err
 		}
 
-		if !served {
-			// process filters and dedups each arriving remote tuple, feeds
-			// the join, and accumulates the fragment for caching. seenRemote
-			// dedups across bind batches and makes the one retry withClient
-			// may perform idempotent.
-			seenRemote := map[string]bool{}
-			var fragRows []rel.Tuple
-			var fragBytes int64
-			fragTooBig := false
-			fragGen, fragGenSeen, fragGenStable := uint64(0), false, true
-			process := func(t rel.Tuple) error {
-				if len(t) != a.Arity() {
-					return fmt.Errorf("netpeer: %s/%d: remote row has %d values", a.Pred, a.Arity(), len(t))
-				}
-				for _, cc := range sh.constChecks {
-					if t[cc.pos] != cc.val {
-						return nil
-					}
-				}
-				for _, d := range sh.dupChecks {
-					if t[d[0]] != t[d[1]] {
-						return nil
-					}
-				}
-				if k := t.Key(); seenRemote[k] {
-					return nil
-				} else {
-					seenRemote[k] = true
-				}
-				if cacheable && !fragTooBig {
-					fragRows = append(fragRows, t)
-					for _, v := range t {
-						fragBytes += int64(len(v))
-					}
-					if fragBytes > maxFragEntryBytes {
-						fragTooBig = true
-						fragRows = nil
-					}
-				}
-				return join(t)
-			}
-			// tap observes the generations this fetch's own final frames
-			// piggyback, to stamp the cached fragment. Distinct values
-			// across frames mean a mutation landed between bind batches:
-			// the fragment is not a point snapshot and must not be cached.
-			tap := func(preds []string, gens []uint64) {
-				for i, p := range preds {
-					if p != a.Pred || i >= len(gens) {
-						continue
-					}
-					if !fragGenSeen {
-						fragGen, fragGenSeen = gens[i], true
-					} else if gens[i] != fragGen {
-						fragGenStable = false
-					}
-				}
-			}
-
-			depth := e.BindPipeline
-			if depth <= 0 {
-				depth = defaultBindPipeline
-			}
-			var err error
-			if useBind {
-				as.Set("src", "bind")
-				err = e.withClient(addr, func(c *Client) error {
-					if cacheable {
-						c.tapMeta = tap
-						defer func() { c.tapMeta = nil }()
-					}
-					if as != nil {
-						c.traceSpan = as
-						defer func() { c.traceSpan = nil }()
-					}
-					return c.BindEvalStream(a, sh.keyPoss, keyRows, depth, process)
-				})
-			} else {
-				as.Set("src", "fetch")
-				remote := selectionQuery(a)
-				err = e.withClient(addr, func(c *Client) error {
-					if cacheable {
-						c.tapMeta = tap
-						defer func() { c.tapMeta = nil }()
-					}
-					if as != nil {
-						c.traceSpan = as
-						defer func() { c.traceSpan = nil }()
-					}
-					return c.EvalStream(remote, process)
-				})
-			}
-			as.SetInt("fetched", int64(len(seenRemote)))
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-			if cacheable && !fragTooBig && fragGenSeen && fragGenStable {
-				e.frags.put(fragKey, a.Pred, fragGen, fragRows, fragBytes)
-			}
-		}
-
-		if !inMem {
-			// Spilled partial: stream it back once, sequentially, extending
-			// each row with its grouped remote matches.
-			err := partial.Iterate(func(row rel.Tuple) error {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				for _, t := range remoteByKey[string(kb)] {
-					nr := make(rel.Tuple, len(varOrder)+len(sh.newPoss))
-					copy(nr, row)
-					for j, p := range sh.newPoss {
-						nr[len(varOrder)+j] = t[p]
-					}
-					if err := next.Append(nr); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-		}
-
-		partial.Close()
-		partial, next = next, nil
+		partial = next
 		for _, v := range sh.newVars {
 			varCol[v] = len(varOrder)
 			varOrder = append(varOrder, v)
@@ -901,25 +597,17 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 				continue
 			}
 			compApplied[ci] = true
-			kept := store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-			err := partial.Iterate(func(row rel.Tuple) error {
+			kept := partial[:0]
+			for _, row := range partial {
 				if evalComp(c, varCol, row) {
-					return kept.Append(row)
+					kept = append(kept, row)
 				}
-				return nil
-			})
-			if err != nil {
-				kept.Close()
-				as.SetErr(err)
-				as.End()
-				return nil, err
 			}
-			partial.Close()
 			partial = kept
 		}
-		as.SetInt("partial", int64(partial.Len()))
+		as.SetInt("partial", int64(len(partial)))
 		as.End()
-		if partial.Len() == 0 {
+		if len(partial) == 0 {
 			// The partial join is already empty, so the full join is too:
 			// skip the remaining fetches entirely.
 			return nil, nil
@@ -934,8 +622,8 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 		}
 	}
 
-	out := make([]rel.Tuple, 0, partial.Len())
-	err := partial.Iterate(func(row rel.Tuple) error {
+	out := make([]rel.Tuple, 0, len(partial))
+	for _, row := range partial {
 		h := make(rel.Tuple, len(q.Head.Args))
 		for i, t := range q.Head.Args {
 			if t.IsConst() {
@@ -945,12 +633,101 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 			}
 		}
 		out = append(out, h)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rel.DistinctSorted(out), nil
+}
+
+// fetchFragment fetches atom a's fragment from its peer at addr — by
+// shipping keyRows in pipelined bind batches, or as one selection-pushed
+// fetch — filtering and deduplicating each arriving tuple before handing
+// it to join, and caches the fragment under fragKey when it is a point
+// snapshot of the relation.
+func (e *Executor) fetchFragment(a lang.Atom, sh stepShape, addr, fragKey string, keyRows [][]string, useBind bool, as *obs.Span, join func(rel.Tuple)) error {
+	// process filters and dedups each arriving remote tuple, feeds the
+	// join, and accumulates the fragment for caching. seenRemote dedups
+	// across bind batches and makes the retries withClient may perform
+	// idempotent.
+	seenRemote := map[string]bool{}
+	var fragRows []rel.Tuple
+	var fragBytes int64
+	fragTooBig := false
+	process := func(t rel.Tuple) error {
+		if len(t) != a.Arity() {
+			return fmt.Errorf("netpeer: %s/%d: remote row has %d values", a.Pred, a.Arity(), len(t))
+		}
+		for _, cc := range sh.constChecks {
+			if t[cc.pos] != cc.val {
+				return nil
+			}
+		}
+		for _, d := range sh.dupChecks {
+			if t[d[0]] != t[d[1]] {
+				return nil
+			}
+		}
+		k := t.Key()
+		if seenRemote[k] {
+			return nil
+		}
+		seenRemote[k] = true
+		if !fragTooBig {
+			fragRows = append(fragRows, t)
+			for _, v := range t {
+				fragBytes += int64(len(v))
+			}
+			if fragBytes > maxFragEntryBytes {
+				fragTooBig = true
+				fragRows = nil
+			}
+		}
+		join(t)
+		return nil
+	}
+	// tap observes the generations this fetch's own final frames
+	// piggyback, to stamp the cached fragment. Distinct values across
+	// frames mean a mutation landed between bind batches: the fragment is
+	// not a point snapshot and must not be cached.
+	fragGen, fragGenSeen, fragGenStable := uint64(0), false, true
+	tap := func(preds []string, gens []uint64) {
+		for i, p := range preds {
+			if p != a.Pred || i >= len(gens) {
+				continue
+			}
+			if !fragGenSeen {
+				fragGen, fragGenSeen = gens[i], true
+			} else if gens[i] != fragGen {
+				fragGenStable = false
+			}
+		}
+	}
+
+	var remote lang.CQ
+	if useBind {
+		as.Set("src", "bind")
+	} else {
+		as.Set("src", "fetch")
+		remote = selectionQuery(a)
+	}
+	err := e.withClient(addr, func(c *Client) error {
+		c.tapMeta = tap
+		defer func() { c.tapMeta = nil }()
+		if as != nil {
+			c.traceSpan = as
+			defer func() { c.traceSpan = nil }()
+		}
+		if useBind {
+			return c.BindEvalStream(a, sh.keyPoss, keyRows, e.bindPipeline, process)
+		}
+		return c.EvalStream(remote, process)
+	})
+	as.SetInt("fetched", int64(len(seenRemote)))
+	if err != nil {
+		return err
+	}
+	if !fragTooBig && fragGenSeen && fragGenStable {
+		e.frags.put(fragKey, fragGen, fragRows, fragBytes)
+	}
+	return nil
 }
 
 // addrOf returns the routed address for pred ("" when unrouted; EvalCQ
@@ -961,9 +738,9 @@ func (e *Executor) addrOf(pred string) string {
 	return e.addr[pred]
 }
 
-// fragLookup returns the cached fragment under key, but only after
-// confirming its stamped generation is still pred's current generation at
-// addr. A generation mismatch drops the entry (counted as an
+// fragLookup returns the cached fragment under key, but only after a gens
+// round trip confirms its stamped generation is still pred's current
+// generation at addr. A generation mismatch drops the entry (counted as an
 // invalidation); a failed revalidation just misses — the subsequent fetch
 // will surface any real transport problem.
 func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
@@ -972,7 +749,13 @@ func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
 		e.frags.missed()
 		return nil, false
 	}
-	cur, err := e.currentGen(addr, pred)
+	e.frags.revalidated()
+	var cur uint64
+	err := e.withClient(addr, func(c *Client) error {
+		m, err := c.Gens([]string{pred})
+		cur = m[pred]
+		return err
+	})
 	if err != nil || cur != gen {
 		if err == nil {
 			e.frags.invalidate(key)
@@ -982,32 +765,6 @@ func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
 	}
 	e.frags.confirmHit(key)
 	return rows, true
-}
-
-// currentGen returns pred's current generation at its serving peer: from a
-// prior piggybacked observation when it falls inside the FragmentTrust
-// window, else via a gens revalidation round trip (whose response, like
-// every response, also refreshes the observation table).
-func (e *Executor) currentGen(addr, pred string) (uint64, error) {
-	if trust := e.FragmentTrust; trust > 0 {
-		e.mu.Lock()
-		obs, ok := e.gens[pred]
-		e.mu.Unlock()
-		if ok && time.Since(obs.at) <= trust {
-			return obs.gen, nil
-		}
-	}
-	e.frags.revalidated()
-	var gen uint64
-	err := e.withClient(addr, func(c *Client) error {
-		m, err := c.Gens([]string{pred})
-		if err != nil {
-			return err
-		}
-		gen = m[pred]
-		return nil
-	})
-	return gen, err
 }
 
 // evalComp evaluates comparison c over one partial-join row.
@@ -1043,33 +800,6 @@ func selectionQuery(a lang.Atom) lang.CQ {
 	}
 }
 
-// evalFetchAll is the legacy whole-relation fetch path: every atom is
-// pulled with only its constant selections pushed down, fragments land in
-// a scratch instance, and the full join (re-checking every constant,
-// repeated variable and comparison) runs through an indexed local engine.
-// Kept as the differential/benchmark baseline for the streaming bind-join.
-func (e *Executor) evalFetchAll(q lang.CQ) ([]rel.Tuple, error) {
-	scratch := rel.NewInstance()
-	eng := engine.NewWithPlanCache(scratch, e.plans)
-	localNames := make([]string, len(q.Body))
-	fetched := map[string]bool{}
-	for _, bi := range e.planOrder(q) {
-		name, err := e.fetchAtom(q.Body[bi], scratch, fetched)
-		if err != nil {
-			return nil, err
-		}
-		localNames[bi] = name
-	}
-	localBody := make([]lang.Atom, len(q.Body))
-	for i, a := range q.Body {
-		la := a.Clone()
-		la.Pred = localNames[i]
-		localBody[i] = la
-	}
-	local := lang.CQ{Head: q.Head, Body: localBody, Comps: q.Comps}
-	return eng.EvalCQ(local)
-}
-
 // planOrder orders q's body atoms with the engine planner's greedy
 // selectivity heuristic (engine.OrderBodyStats), feeding it the serving
 // peers' cardinalities and per-column distinct estimates (advertised at
@@ -1086,51 +816,4 @@ func (e *Executor) planOrder(q lang.CQ) []int {
 	}
 	e.mu.Unlock()
 	return engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats { return stats[pred] }, -1)
-}
-
-// selName returns a collision-free scratch-relation name for atom a's
-// selection pattern: the predicate and every constant are length-prefixed
-// (engine.AppendKeyPart), so a constant containing delimiter bytes like
-// '|' or '=' cannot alias a different pattern (e.g. R with constant
-// "x|1=y" at position 0 versus constants "x","y" at positions 0 and 1).
-func selName(a lang.Atom) string {
-	b := engine.AppendKeyPart(nil, a.Pred)
-	for i, t := range a.Args {
-		if t.IsConst() {
-			b = append(b, '|')
-			b = strconv.AppendInt(b, int64(i), 10)
-			b = append(b, '=')
-			b = engine.AppendKeyPart(b, t.Name)
-		}
-	}
-	return string(b)
-}
-
-// fetchAtom retrieves the tuples matching atom a from its peer with the
-// atom's constant positions pushed as selections, storing them in scratch
-// under a selection-specific local name it returns. Repeated atoms with
-// the same selection pattern share one fetch via the fetched set.
-func (e *Executor) fetchAtom(a lang.Atom, scratch *rel.Instance, fetched map[string]bool) (string, error) {
-	localName := selName(a)
-	if fetched[localName] {
-		return localName, nil
-	}
-	addr := e.addrOf(a.Pred)
-	remote := selectionQuery(a)
-	var rows []rel.Tuple
-	err := e.withClient(addr, func(c *Client) error {
-		rs, err := c.Eval(remote)
-		rows = rs
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	for _, t := range rows {
-		if _, err := scratch.Add(localName, t); err != nil {
-			return "", err
-		}
-	}
-	fetched[localName] = true
-	return localName, nil
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // Defaults for the executor's cross-query fragment cache. The byte budget
@@ -30,7 +28,7 @@ const (
 type FragmentStats struct {
 	// Hits counts atom fetches served from the cache (after the entry's
 	// generation was confirmed current); Misses counts atom fetches that
-	// went to the wire while caching was enabled.
+	// went to the wire.
 	Hits, Misses uint64
 	// Invalidations counts cached fragments dropped because the serving
 	// peer's generation for the fragment's relation had moved past the
@@ -40,44 +38,27 @@ type FragmentStats struct {
 	// byte budget), not staleness.
 	Evictions uint64
 	// Revalidations counts gens round trips issued to confirm a candidate
-	// entry's generation before serving it (zero-row requests; within the
-	// FragmentTrust window they are skipped entirely).
+	// entry's generation before serving it (zero-row requests).
 	Revalidations uint64
 	// Entries and Bytes describe the current cache contents.
 	Entries int
 	Bytes   int64
-	// SpilledEntries counts entries whose rows currently live in a spill
-	// file instead of memory; MemBytes is the tuple bytes actually resident
-	// (Bytes minus the spilled portion).
-	SpilledEntries int
-	MemBytes       int64
 }
 
 // fragEntry is one cached fragment: the post-filter, deduplicated remote
 // tuples of one (peer, atom pattern, bound-key set) fetch, stamped with the
 // serving peer's generation for the fragment's relation at fetch time.
-// Either rows is resident in memory (file == "") or the rows were moved to
-// the spill file at path file (rows == nil) and stream back per lookup.
 type fragEntry struct {
 	key   string
-	pred  string
 	gen   uint64
 	bytes int64
 	rows  []rel.Tuple
-	file  string
 }
 
 // fragCache is a size-bounded (entries and bytes) LRU of fragEntries,
 // safe for concurrent use. Staleness is the executor's call — the cache
 // only stores generations and drops entries on demand — because deciding
-// freshness may involve a revalidation round trip the cache cannot issue.
-//
-// With a spill configuration set, the cache additionally bounds *resident*
-// bytes: when memBytes exceeds memBudget, the coldest in-memory entries
-// move their rows to spill files (store's frame format) and count only
-// toward the total byte cap. A spilled entry still hits — its rows stream
-// back from disk — so a large cold working set trades latency for memory
-// instead of being evicted outright.
+// freshness involves a revalidation round trip the cache cannot issue.
 type fragCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -85,12 +66,6 @@ type fragCache struct {
 	ll         *list.List
 	items      map[string]*list.Element
 	bytes      int64
-	// spillDir/memBudget configure cold-entry spilling (zero values keep
-	// everything resident); memBytes tracks the resident portion of bytes.
-	// Guarded by mu.
-	spillDir  string
-	memBudget int64
-	memBytes  int64
 
 	hits, misses, invalidations, evictions, revalidations uint64
 }
@@ -104,35 +79,10 @@ func newFragCache(maxEntries int, maxBytes int64) *fragCache {
 	}
 }
 
-// setLimits adjusts the capacity bounds, evicting immediately if the cache
-// is over the new budget.
-func (fc *fragCache) setLimits(maxEntries int, maxBytes int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if maxEntries > 0 {
-		fc.maxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		fc.maxBytes = maxBytes
-	}
-	fc.evictOverLocked()
-}
-
-// setSpill configures cold-entry spilling: once resident tuple bytes exceed
-// memBudget, the least-recently-used in-memory entries move to spill files
-// under dir. Applies retroactively to the current contents.
-func (fc *fragCache) setSpill(dir string, memBudget int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	fc.spillDir, fc.memBudget = dir, memBudget
-	fc.spillOverLocked()
-}
-
 // lookup returns the entry under key without deciding whether it is fresh:
 // the caller compares gen against the peer's current generation and then
-// reports the outcome via confirmHit or invalidate. A spilled entry's rows
-// stream back from its file; an unreadable spill file drops the entry and
-// misses. The returned rows are shared — callers must not mutate them.
+// reports the outcome via confirmHit or invalidate. The returned rows are
+// shared — callers must not mutate them.
 func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -141,14 +91,6 @@ func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) 
 		return nil, 0, false
 	}
 	ent := el.Value.(*fragEntry)
-	if ent.file != "" {
-		loaded, err := store.LoadSpillRows(ent.file)
-		if err != nil {
-			fc.removeLocked(el)
-			return nil, 0, false
-		}
-		return loaded, ent.gen, true
-	}
 	return ent.rows, ent.gen, true
 }
 
@@ -190,7 +132,7 @@ func (fc *fragCache) revalidated() {
 // put stores a fragment, evicting least-recently-used entries while over
 // either capacity bound. Oversized fragments are dropped silently: caching
 // them would wipe the rest of the working set.
-func (fc *fragCache) put(key, pred string, gen uint64, rows []rel.Tuple, bytes int64) {
+func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple, bytes int64) {
 	if bytes > maxFragEntryBytes {
 		return
 	}
@@ -200,22 +142,13 @@ func (fc *fragCache) put(key, pred string, gen uint64, rows []rel.Tuple, bytes i
 		// Replace in place (a refetch after invalidation reuses the key).
 		ent := el.Value.(*fragEntry)
 		fc.bytes += bytes - ent.bytes
-		if ent.file != "" {
-			os.Remove(ent.file)
-			ent.file = ""
-		} else {
-			fc.memBytes -= ent.bytes
-		}
 		ent.gen, ent.rows, ent.bytes = gen, rows, bytes
-		fc.memBytes += bytes
 		fc.ll.MoveToFront(el)
 	} else {
-		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, pred: pred, gen: gen, rows: rows, bytes: bytes})
+		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, gen: gen, rows: rows, bytes: bytes})
 		fc.bytes += bytes
-		fc.memBytes += bytes
 	}
 	fc.evictOverLocked()
-	fc.spillOverLocked()
 }
 
 func (fc *fragCache) evictOverLocked() {
@@ -229,30 +162,7 @@ func (fc *fragCache) evictOverLocked() {
 	}
 }
 
-// spillOverLocked moves the coldest resident entries to spill files until
-// resident bytes fit the memory budget (no-op without a spill config). A
-// spill failure stops the sweep — the entry stays resident, and capacity
-// eviction still bounds the cache.
-func (fc *fragCache) spillOverLocked() {
-	if fc.spillDir == "" || fc.memBudget <= 0 {
-		return
-	}
-	for el := fc.ll.Back(); el != nil && fc.memBytes > fc.memBudget; {
-		ent := el.Value.(*fragEntry)
-		prev := el.Prev()
-		if ent.file == "" && ent.bytes > 0 {
-			path, err := store.SpillRows(fc.spillDir, ent.rows)
-			if err != nil {
-				return
-			}
-			ent.file, ent.rows = path, nil
-			fc.memBytes -= ent.bytes
-		}
-		el = prev
-	}
-}
-
-// clear drops every entry, deleting spill files. Counters survive.
+// clear drops every entry. Counters survive.
 func (fc *fragCache) clear() {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -266,33 +176,20 @@ func (fc *fragCache) removeLocked(el *list.Element) {
 	fc.ll.Remove(el)
 	delete(fc.items, ent.key)
 	fc.bytes -= ent.bytes
-	if ent.file != "" {
-		os.Remove(ent.file)
-	} else {
-		fc.memBytes -= ent.bytes
-	}
 }
 
 // stats returns a snapshot of the cache counters and current size.
 func (fc *fragCache) stats() FragmentStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	spilled := 0
-	for el := fc.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*fragEntry).file != "" {
-			spilled++
-		}
-	}
 	return FragmentStats{
-		Hits:           fc.hits,
-		Misses:         fc.misses,
-		Invalidations:  fc.invalidations,
-		Evictions:      fc.evictions,
-		Revalidations:  fc.revalidations,
-		Entries:        fc.ll.Len(),
-		Bytes:          fc.bytes,
-		SpilledEntries: spilled,
-		MemBytes:       fc.memBytes,
+		Hits:          fc.hits,
+		Misses:        fc.misses,
+		Invalidations: fc.invalidations,
+		Evictions:     fc.evictions,
+		Revalidations: fc.revalidations,
+		Entries:       fc.ll.Len(),
+		Bytes:         fc.bytes,
 	}
 }
 

@@ -3,7 +3,6 @@ package netpeer
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/parser"
 	"repro/internal/rel"
@@ -174,58 +173,14 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	}
 }
 
-// TestFragmentTrustWindowSkipsRevalidation exercises the TTL fallback: a
-// positive FragmentTrust serves cached fragments without any round trip
-// while the generation observation is fresh — accepting up to the window
-// of staleness — and a zero window restores revalidate-always behavior.
-func TestFragmentTrustWindowSkipsRevalidation(t *testing.T) {
-	_, large, ex := crossPeerFixture(t)
-	ex.FragmentTrust = time.Hour
-	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate outside the executor's view: within the trust window the
-	// executor is allowed (and expected) to keep serving the cached
-	// fragments with zero network traffic.
-	if err := large.AddFact("L.rows", rel.Tuple{"k0", "fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	mid := ex.WireStats()
-	again, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuplesEqual(first, again) {
-		t.Fatalf("trust-window answer should be the cached (stale) one: %v vs %v", first, again)
-	}
-	if d := ex.WireStats().Requests - mid.Requests; d != 0 {
-		t.Fatalf("trust-window repeat issued %d requests, want 0", d)
-	}
-	// Dropping the trust window forces revalidation, which sees the moved
-	// generation and refetches.
-	ex.FragmentTrust = 0
-	fresh, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != len(first)+1 {
-		t.Fatalf("post-trust query rows = %d, want %d", len(fresh), len(first)+1)
-	}
-}
-
-// TestFragmentCacheOffMatchesOn is a differential check: with the cache
-// disabled the executor must return exactly the same answers, and the
-// fragment counters must stay untouched.
-func TestFragmentCacheOffMatchesOn(t *testing.T) {
+// TestColdFragmentCacheMatchesWarm is a differential check: an executor
+// whose cache is emptied before every query fetches every fragment from
+// the wire and must return exactly the answers of one serving repeats from
+// its cache.
+func TestColdFragmentCacheMatchesWarm(t *testing.T) {
 	_, _, ex := crossPeerFixture(t)
-	exOff := NewExecutor()
-	exOff.FragmentCacheOff = true
-	defer exOff.Close()
+	exCold := NewExecutor()
+	defer exCold.Close()
 	// Share the routing by re-discovering through the same servers.
 	ex.mu.Lock()
 	routes := map[string]string{}
@@ -234,27 +189,31 @@ func TestFragmentCacheOffMatchesOn(t *testing.T) {
 	}
 	ex.mu.Unlock()
 	for p, a := range routes {
-		exOff.Route(p, a)
+		exCold.Route(p, a)
 	}
 	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		on, err := ex.EvalCQ(q)
+		warm, err := ex.EvalCQ(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := exOff.EvalCQ(q)
+		exCold.frags.clear()
+		cold, err := exCold.EvalCQ(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tuplesEqual(on, off) {
-			t.Fatalf("iteration %d: cache-on %v vs cache-off %v", i, on, off)
+		if !tuplesEqual(warm, cold) {
+			t.Fatalf("iteration %d: warm cache %v vs cold cache %v", i, warm, cold)
 		}
 	}
-	if st := exOff.FragmentStats(); st.Hits+st.Misses+st.Revalidations != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", st)
+	if st := exCold.FragmentStats(); st.Hits+st.Revalidations != 0 {
+		t.Fatalf("emptied cache served or revalidated: %+v", st)
+	}
+	if st := ex.FragmentStats(); st.Hits == 0 {
+		t.Fatalf("warm cache never hit: %+v", st)
 	}
 }
 
@@ -263,7 +222,7 @@ func TestFragmentCacheOffMatchesOn(t *testing.T) {
 // re-querying the first is a miss again.
 func TestFragmentCacheEviction(t *testing.T) {
 	_, _, ex := crossPeerFixture(t)
-	ex.SetFragmentCacheLimits(1, 0)
+	ex.frags = newFragCache(1, defaultFragBytes)
 	q1, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
 	if err != nil {
 		t.Fatal(err)

@@ -52,12 +52,12 @@ type idleConn struct {
 type pool struct {
 	addr     string
 	counters *Counters
-	// onMeta propagates response-piggybacked cardinalities, generations and
-	// distinct estimates from every pooled connection back to the executor's
-	// estimate and generation-observation tables.
-	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
+	// onMeta propagates response-piggybacked cardinalities and distinct
+	// estimates from every pooled connection back to the executor's
+	// estimate tables.
+	onMeta func(preds []string, cards []int, dists [][]float64)
 	// pingAfter is the idle age beyond which get pings a connection before
-	// reuse (0 = never ping).
+	// reuse.
 	pingAfter time.Duration
 	// maxConns caps total open connections (idle + borrowed) to addr.
 	maxConns int
@@ -79,10 +79,7 @@ type grant struct {
 	slot bool    // a connection slot is reserved for you; dial it
 }
 
-func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
-	if maxConns <= 0 {
-		maxConns = defaultMaxConnsPerAddr
-	}
+func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
 	return &pool{addr: addr, counters: counters, onMeta: onMeta, pingAfter: pingAfter, maxConns: maxConns}
 }
 
@@ -109,7 +106,7 @@ func (p *pool) get() (c *Client, reused bool, err error) {
 			p.idle[n-1] = idleConn{}
 			p.idle = p.idle[:n-1]
 			p.mu.Unlock()
-			if p.pingAfter > 0 && time.Since(ic.since) >= p.pingAfter {
+			if time.Since(ic.since) >= p.pingAfter {
 				p.counters.healthPings.Add(1)
 				if err := ic.c.Ping(); err != nil {
 					p.counters.healthDrops.Add(1)

@@ -47,12 +47,11 @@
 // generations of the relations touched (captured before row production,
 // so the generation is a floor: the stream carries at least everything at
 // that generation — see wire/PROTOCOL.md): the executor folds the
-// cardinalities into its join-order estimates and the generations into
-// its fragment-cache staleness checks. An oversized or
-// garbled *request* frame is answered with an in-band error (the stream
-// stays framed), never a silent connection drop; genuinely broken streams
-// are counted and reported through the optional Server.Logf diagnostic
-// hook.
+// cardinalities into its join-order estimates and stamps cached fragments
+// with the generations. An oversized or garbled *request* frame is
+// answered with an in-band error (the stream stays framed), never a silent
+// connection drop; genuinely broken streams are counted and reported
+// through the optional Server.Logf diagnostic hook.
 //
 // Cross-peer rewritings execute as a streaming, adaptive, pipelined
 // bind-join: the Executor orders atoms by the engine's selectivity
@@ -64,12 +63,11 @@
 // (selection-pushed) relation is smaller than the key set, in which case
 // it fetches the relation instead. UCQ disjuncts fan out over a worker
 // pool, multiplexed over per-address connection pools (one Client is not
-// safe for concurrent use); pooled connections idle past
-// Executor.IdlePingAfter are pinged before reuse so a peer restart is
-// absorbed by a fresh dial instead of a first-request failure. Both sides
-// keep wire-level counters (requests, rows, bytes, bind batches and how
-// many were pipelined, health pings/drops) so the shipping and stall
-// savings are measurable.
+// safe for concurrent use); pooled connections idle for a minute or more
+// are pinged before reuse so a peer restart is absorbed by a fresh dial
+// instead of a first-request failure. Both sides keep wire-level counters
+// (requests, rows, bytes, bind batches and how many were pipelined, health
+// pings/drops) so the shipping and stall savings are measurable.
 //
 // On top of the wire path sits the executor's cross-query fragment cache —
 // the distributed half of the system's two-level cache architecture (the
@@ -80,12 +78,9 @@
 //     entries and bytes, stamped with the relation's generation reported
 //     by the fetch's own response frames (a fetch whose frames disagree —
 //     a mutation landed mid-fetch — is not cached).
-//   - A cached fragment is served only after its generation is confirmed
-//     current: by default via a "gens" round trip (strong consistency with
-//     the peer at revalidation time, zero rows shipped), or for free when
-//     the generation was observed within the Executor.FragmentTrust window
-//     (zero traffic, staleness bounded by the window — the TTL fallback
-//     for peers mutated outside our view).
+//   - A cached fragment is served only after a "gens" round trip confirms
+//     its generation is current (strong consistency with the peer at
+//     revalidation time, zero rows shipped).
 //   - An AddFact on the serving peer moves only that relation's
 //     generation, so fragments of other relations keep hitting.
 //
@@ -1036,12 +1031,11 @@ type Client struct {
 	// counters, when non-nil, aggregates this client's traffic (set by the
 	// executor's pool so all pooled connections share one Counters).
 	counters *Counters
-	// onMeta, when non-nil, receives the cardinalities, generations and
-	// per-column distinct estimates piggybacked on final response frames
-	// (set by the executor's pool so estimates and generation observations
-	// refresh continuously). dists is nil when the serving peer predates
-	// the Distinct extension.
-	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
+	// onMeta, when non-nil, receives the cardinalities and per-column
+	// distinct estimates piggybacked on final response frames (set by the
+	// executor's pool so estimates refresh continuously). dists is nil when
+	// the serving peer predates the Distinct extension.
+	onMeta func(preds []string, cards []int, dists [][]float64)
 	// tapMeta, when non-nil, additionally receives the same piggyback for
 	// the duration of one logical call — the executor installs it around a
 	// fragment fetch to stamp the cached fragment with the generation its
@@ -1159,7 +1153,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 					c.counters.distinctMeta.Add(1)
 				}
 				if c.onMeta != nil {
-					c.onMeta(resp.Preds, resp.Cards, resp.Gens, resp.Distinct)
+					c.onMeta(resp.Preds, resp.Cards, resp.Distinct)
 				}
 				if c.tapMeta != nil {
 					c.tapMeta(resp.Preds, resp.Gens)
@@ -1477,14 +1471,27 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 		return nil
 	}
 	if !c.broken {
-		// The error frame was well-framed. If the writer has already
-		// finished cleanly and the errored response was the last one
-		// outstanding, the stream is in sync and the connection stays
-		// usable. The check must be non-blocking: joining a writer that is
-		// mid-write would deadlock (the server stops reading requests
-		// while we stop reading its responses).
-		select {
-		case werr := <-writeErr:
+		// The error frame was well-framed. If the writer has finished
+		// cleanly and the errored response was the last one outstanding,
+		// the stream is in sync and the connection stays usable. For the
+		// final batch the writer is joined outright: the server answered
+		// it, so it has read every request byte and the writer cannot be
+		// stuck in a socket write — it may just not have posted yet. For
+		// earlier batches the check must be non-blocking: joining a writer
+		// that is mid-write would deadlock (the server stops reading
+		// requests while we stop reading its responses).
+		var werr error
+		joined := true
+		if read+1 == nb {
+			werr = <-writeErr
+		} else {
+			select {
+			case werr = <-writeErr:
+			default:
+				joined = false
+			}
+		}
+		if joined {
 			if werr == nil && int(batchesWritten.Load()) == read+1 {
 				return readErr
 			}
@@ -1494,7 +1501,6 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 			c.conn.Close()
 			close(abort)
 			return readErr
-		default:
 		}
 	}
 	// Transport failure, or the writer is still running: kill the

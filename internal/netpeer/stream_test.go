@@ -246,11 +246,11 @@ func TestPipelinedBindBatches(t *testing.T) {
 		depth         int
 		wantPipelined bool
 	}{
-		{"pipelined", 0, true}, // default depth
+		{"pipelined", defaultBindPipeline, true},
 		{"sequential", 1, false},
 	} {
 		ex := NewExecutor()
-		ex.BindPipeline = tc.depth
+		ex.bindPipeline = tc.depth
 		for _, a := range []string{addr1, addr2} {
 			if err := ex.Discover(a); err != nil {
 				t.Fatal(err)

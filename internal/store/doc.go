@@ -1,6 +1,6 @@
 // Package store is the storage tier: the interface the query layers
 // consume instead of a concrete in-memory representation, plus the durable
-// and spill machinery built on one on-disk segment format.
+// segment journal behind it.
 //
 // # Interface extraction
 //
@@ -27,12 +27,6 @@
 // rel's append hooks under the shard lock; frames buffer in memory until
 // Flush/Sync/Close or segment rotation.
 //
-// # Spill
-//
-// RowBuffer gives large transient row sets (the netpeer executor's
-// materialized partial join, the fragment cache's cold entries) a byte
-// budget: rows stay in a fixed-size in-memory tail and overflow to a spill
-// file in the same segment format, streaming back in append order on
-// demand. RegisterMetrics exposes the storage.* snapshot group (segments,
-// bytes, truncations, replay time, spill counters).
+// RegisterMetrics exposes the storage.* snapshot group (segments, bytes,
+// truncations, recovered tuples, replay time).
 package store

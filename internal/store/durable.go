@@ -514,20 +514,17 @@ func unescapeRel(name string) (string, error) {
 }
 
 // RegisterMetrics registers the storage.* snapshot group on reg: segment
-// and replay counters from d (which may be nil when only spill structures
-// are in use) plus the package-wide spill counters.
+// and replay counters from d (nil registers an empty group, for peers
+// without a durable store).
 func RegisterMetrics(reg *obs.Registry, d *Dir) {
 	reg.RegisterGroup("storage", func(em *obs.Emitter) {
-		if d != nil {
-			em.Counter("segments", d.segments.Load())
-			em.Counter("bytes_written", d.bytesOut.Load())
-			em.Counter("truncations", d.truncations.Load())
-			em.Counter("recovered_tuples", d.recovered.Load())
-			em.Gauge("replay_micros", d.replayMicro.Load())
+		if d == nil {
+			return
 		}
-		em.Counter("spills", spillCount.Load())
-		em.Counter("spill_bytes", spillBytesTotal.Load())
-		em.Counter("spill_rows", spillRowsTotal.Load())
-		em.Counter("spill_loads", spillLoads.Load())
+		em.Counter("segments", d.segments.Load())
+		em.Counter("bytes_written", d.bytesOut.Load())
+		em.Counter("truncations", d.truncations.Load())
+		em.Counter("recovered_tuples", d.recovered.Load())
+		em.Gauge("replay_micros", d.replayMicro.Load())
 	})
 }
