@@ -12,20 +12,17 @@
 // specified normatively in internal/wire/PROTOCOL.md.
 //
 // Query execution — which the paper leaves out of scope — runs through the
-// indexed engine in internal/engine over the sharded storage layer in
-// internal/rel: relations are hash-partitioned by first-column key (one
-// shard per CPU by default), scans and bound-key probe batches fan out
-// across shards over a bounded worker pool, per-shard hash indexes are
-// maintained incrementally from per-shard insert logs, and the greedy join
-// planner orders atoms by per-column distinct-value statistics
-// (HyperLogLog sketches maintained on insert) instead of a fixed
-// per-bound-argument discount. The naive evaluator in internal/rel remains
-// the differential-testing oracle, including sharded-versus-unsharded runs
-// over a randomized query corpus.
+// indexed engine in internal/engine over the stored relations in
+// internal/rel: hash indexes are built lazily and maintained incrementally
+// from each relation's append-only insert log, and the greedy join planner
+// orders atoms by per-column distinct-value statistics (HyperLogLog
+// sketches maintained on insert) instead of a fixed per-bound-argument
+// discount. The naive evaluator in internal/rel remains the
+// differential-testing oracle over a randomized query corpus.
 //
 // Caching is two-level, both levels invalidated at per-relation
 // granularity by generation counters (each relation's monotonic insert
-// count — with sharding, the fold of its per-shard counters):
+// count):
 //
 //   - Local: pdms.Network caches query answers keyed by the canonical
 //     query, the spec generation, and the generation *vector* of exactly
@@ -45,7 +42,7 @@
 // relations over TCP (chunked streaming frames, O(chunk) memory per
 // response), and cross-peer rewritings run as streaming, adaptive,
 // pipelined bind-joins — the executor ships the distinct join keys bound
-// so far and the remote peer probes its per-shard hash indexes, so only
+// so far and the remote peer probes its hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out over a worker
 // pool on per-address connection pools with idle health checks;
 // pdms.Network.QueryVia plugs the mediator into that executor.

@@ -1,4 +1,4 @@
-// Scaleout: Section 5 in miniature, then the PR 5 storage scale-out.
+// Scaleout: Section 5 in miniature, then a million-row store.
 //
 // Part one generates synthetic PDMS topologies of growing diameter with
 // the paper's workload generator, reformulates the benchmark chain query,
@@ -6,18 +6,16 @@
 // rewritings — a console rendition of Figures 3 and 4. Run cmd/figures for
 // the full TSV sweeps.
 //
-// Part two builds a sharded relation store (default one million rows),
-// runs the same queries over the unsharded and the sharded layout, and
-// prints the engine counters — the end-to-end walkthrough described in
-// README.md. Flags: -rows sets the store size, -shards the shard count
-// (0 = one per CPU), -sweep=false skips part one.
+// Part two builds a relation store (default one million rows), runs a
+// filtered scan and a bound-key probe batch over it, and prints the engine
+// counters — the end-to-end walkthrough described in README.md. Flags:
+// -rows sets the store size, -sweep=false skips part one.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -29,15 +27,14 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 1_000_000, "rows in the sharded store walkthrough")
-	shards := flag.Int("shards", 0, "shard count (0 = one per CPU)")
+	rows := flag.Int("rows", 1_000_000, "rows in the store walkthrough")
 	sweep := flag.Bool("sweep", true, "run the Figure 3/4 reformulation sweep first")
 	flag.Parse()
 
 	if *sweep {
 		reformulationSweep()
 	}
-	shardedStoreWalkthrough(*rows, *shards)
+	storeWalkthrough(*rows)
 }
 
 func reformulationSweep() {
@@ -120,11 +117,10 @@ func reformulationSweep() {
 	}
 }
 
-// buildStore loads n synthetic order rows into an instance with the given
-// shard count: orders(order_id, customer, region) plus a small regions
-// dimension table.
-func buildStore(n, shards int) *rel.Instance {
-	ins := rel.NewInstanceSharded(shards)
+// buildStore loads n synthetic order rows into an instance:
+// orders(order_id, customer, region) plus a small regions dimension table.
+func buildStore(n int) *rel.Instance {
+	ins := rel.NewInstance()
 	for i := 0; i < n; i++ {
 		ins.MustAdd("orders",
 			fmt.Sprintf("o%08d", i),
@@ -137,21 +133,18 @@ func buildStore(n, shards int) *rel.Instance {
 	return ins
 }
 
-func shardedStoreWalkthrough(n, shards int) {
+func storeWalkthrough(n int) {
 	if n < 100 {
 		log.Fatalf("-rows %d: need at least 100 rows for the walkthrough's 1%% cutoff and probe keys", n)
 	}
-	if shards <= 0 {
-		shards = rel.DefaultShards()
-	}
-	fmt.Printf("\nsharded store walkthrough: %d rows, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
+	fmt.Printf("\nstore walkthrough: %d rows\n", n)
 
-	// The filtered scan every layout runs: the 1% of orders below the id
-	// cutoff. A single-atom body keeps the planner from starting at the
-	// tiny dimension table, so the full scan of orders — the part that
-	// fans out across shards — is what is measured. (The planner would
-	// otherwise scan `regions` first and probe orders, correctly: small
-	// relations are cheap openings. Statistics pick plans, not you.)
+	// The filtered scan: the 1% of orders below the id cutoff. A
+	// single-atom body keeps the planner from starting at the tiny
+	// dimension table, so the full scan of orders is what is measured.
+	// (The planner would otherwise scan `regions` first and probe orders,
+	// correctly: small relations are cheap openings. Statistics pick plans,
+	// not you.)
 	cutoff := fmt.Sprintf("o%08d", n/100)
 	q := lang.CQ{
 		Head: lang.NewAtom("q", lang.Var("o"), lang.Var("r")),
@@ -166,51 +159,36 @@ func shardedStoreWalkthrough(n, shards int) {
 		keys = append(keys, []string{fmt.Sprintf("o%08d", i*7%n)})
 	}
 
-	for _, nsh := range dedupInts(1, shards) {
-		start := time.Now()
-		ins := buildStore(n, nsh)
-		loaded := time.Since(start)
-		e := engine.New(ins)
+	start := time.Now()
+	ins := buildStore(n)
+	loaded := time.Since(start)
+	e := engine.New(ins)
 
-		start = time.Now()
-		ans, err := e.EvalCQ(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scanned := time.Since(start)
-
-		start = time.Now()
-		probed := 0
-		if err := e.ProbeByKeyBatchYield("orders", []int{0}, keys, func(rel.Tuple) error {
-			probed++
-			return nil
-		}); err != nil {
-			log.Fatal(err)
-		}
-		probeTime := time.Since(start)
-
-		st := ins.Relation("orders").Stats()
-		est := e.Stats()
-		fmt.Printf("\n  shards=%d\n", nsh)
-		fmt.Printf("    load: %v   filtered scan: %v (%d answers)   probe 10k keys: %v (%d hits)\n",
-			loaded.Round(time.Millisecond), scanned.Round(time.Millisecond), len(ans),
-			probeTime.Round(time.Millisecond), probed)
-		fmt.Printf("    engine counters: probes=%d scans=%d parallel-scans=%d indexes=%d plans=%d\n",
-			est.Probes, est.Scans, est.ParallelScans, est.IndexesBuilt, est.PlansCompiled)
-		fmt.Printf("    orders stats: rows=%d shard-rows=%v\n", st.Rows, st.ShardRows)
-		fmt.Printf("    distinct estimates: order_id=%.0f customer=%.0f region=%.0f\n",
-			st.Distinct[0], st.Distinct[1], st.Distinct[2])
+	start = time.Now()
+	ans, err := e.EvalCQ(q)
+	if err != nil {
+		log.Fatal(err)
 	}
-}
+	scanned := time.Since(start)
 
-// dedupInts returns its arguments with consecutive duplicates removed (so
-// shards=1 machines print the walkthrough once).
-func dedupInts(vals ...int) []int {
-	var out []int
-	for _, v := range vals {
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
+	start = time.Now()
+	probed := 0
+	if err := e.ProbeByKeyBatchYield("orders", []int{0}, keys, func(rel.Tuple) error {
+		probed++
+		return nil
+	}); err != nil {
+		log.Fatal(err)
 	}
-	return out
+	probeTime := time.Since(start)
+
+	st := ins.Relation("orders").Stats()
+	est := e.Stats()
+	fmt.Printf("  load: %v   filtered scan: %v (%d answers)   probe 10k keys: %v (%d hits)\n",
+		loaded.Round(time.Millisecond), scanned.Round(time.Millisecond), len(ans),
+		probeTime.Round(time.Millisecond), probed)
+	fmt.Printf("  engine counters: probes=%d scans=%d indexes=%d plans=%d\n",
+		est.Probes, est.Scans, est.IndexesBuilt, est.PlansCompiled)
+	fmt.Printf("  orders stats: rows=%d\n", st.Rows)
+	fmt.Printf("  distinct estimates: order_id=%.0f customer=%.0f region=%.0f\n",
+		st.Distinct[0], st.Distinct[1], st.Distinct[2])
 }

@@ -4,7 +4,7 @@ package spanuse
 import "obs"
 
 // goodPrefix is a named constant: still compile-time checkable.
-const goodPrefix = "engine.parallel_scans"
+const goodPrefix = "engine.indexes_built"
 
 // Register exercises legal and illegal metric names.
 func Register(r *obs.Registry, dynamic string) {

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,56 +11,11 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // ErrStop is returned by an Enumerate yield callback to stop enumeration
 // early without error.
 var ErrStop = errors.New("engine: stop enumeration")
-
-// errCanceled unwinds a parallel worker once another worker has already
-// recorded the run's outcome; it is never returned to callers.
-var errCanceled = errors.New("engine: canceled")
-
-// fanOut is the shared scaffolding of the engine's bounded shard fan-outs
-// (parallel scans, parallel probe batches): a serialized-yield mutex, a
-// stop flag every worker polls, and first-error-wins bookkeeping. The
-// recorded error may be ErrStop — each call site applies its own ErrStop
-// policy, but the cancellation machinery stays in one place.
-type fanOut struct {
-	yieldMu  sync.Mutex
-	stop     atomic.Bool
-	once     sync.Once
-	firstErr error
-}
-
-// fail records the outcome (first call wins) and drains the pool.
-func (f *fanOut) fail(err error) {
-	f.once.Do(func() { f.firstErr = err })
-	f.stop.Store(true)
-}
-
-// dispatch feeds items 0..items-1 through an unbuffered queue to workers
-// goroutines running worker, waits for them, and returns the recorded
-// outcome. Workers must skip (not abandon) queue items once f.stop is set
-// so the feeder never blocks.
-func (f *fanOut) dispatch(workers, items int, worker func(queue <-chan int)) error {
-	queue := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(queue)
-		}()
-	}
-	for i := 0; i < items; i++ {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
-	return f.firstErr
-}
 
 // PlanCache caches an engine's compiled plans keyed by canonicalized
 // query. A plan fixes only the join order and probe shapes, never data, so
@@ -79,59 +33,26 @@ func (pc *PlanCache) Stats() CacheStats { return pc.lru.Stats() }
 // Stats are cumulative engine counters (observability and tests).
 type Stats struct {
 	// Probes counts index-probe step entries; Scans counts full-scan step
-	// entries (one per step entry, regardless of how many shards the scan
-	// fans out over).
+	// entries.
 	Probes, Scans uint64
-	// ParallelScans counts scan steps that fanned out over the shard worker
-	// pool (a subset of Scans).
-	ParallelScans uint64
 	// PlansCompiled counts plan compilations (cache misses).
 	PlansCompiled uint64
-	// IndexesBuilt counts distinct (relation, column-set) indexes created;
-	// an index covers every shard of its relation.
+	// IndexesBuilt counts distinct (relation, column-set) indexes created.
 	IndexesBuilt uint64
 }
 
-// parallelScanMinRows gates shard fan-out for full scans: below it the
-// sequential path wins (goroutine + merge overhead beats the work saved).
-// Var, not const, so tests can force the parallel path on small fixtures.
-var parallelScanMinRows = 4096
-
-// parallelProbeMinKeys gates shard fan-out for ProbeByKeyBatchYield the
-// same way, by bound-key count.
-var parallelProbeMinKeys = 64
-
-// scanWorkersOverride, when > 0, fixes the shard worker-pool size (tests
-// force parallelism on single-CPU machines with it); 0 means one worker
-// per schedulable CPU.
-var scanWorkersOverride = 0
-
-// scanWorkers returns the bounded worker-pool size for shard fan-out.
-func scanWorkers() int {
-	if scanWorkersOverride > 0 {
-		return scanWorkersOverride
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// index is a set of per-shard hash indexes over one relation for one
-// bound-position set: per shard, the key projects the tuple onto cols and
-// buckets hold the matching tuples of that shard. Indexes are built lazily
-// on first probe and each shard's half is maintained incrementally by
-// consuming that shard's append-only insert log — under the shard's own
-// lock, so probes routed to different shards never contend.
+// index is a hash index over one relation for one bound-position set: the
+// key projects the tuple onto cols and buckets hold the matching tuples.
+// Indexes are built lazily on first probe and maintained incrementally by
+// consuming the relation's append-only insert log.
 type index struct {
-	cols   []int
-	shards []idxShard
-}
-
-type idxShard struct {
-	// mu's read lock covers the fast path (sub-index already caught up
-	// with its shard's log), so concurrent probes of one shard proceed in
-	// parallel; the write lock is only taken to consume new log entries.
+	cols []int
+	// mu's read lock covers the fast path (index already caught up with the
+	// log), so concurrent probes proceed in parallel; the write lock is only
+	// taken to consume new log entries.
 	mu sync.RWMutex
-	// consumed is how many log entries this sub-index has folded in,
-	// guarded by mu.
+	// consumed is how many log entries the index has folded in, guarded by
+	// mu.
 	consumed uint64
 	// buckets maps composite probe keys to matching tuples, guarded by mu.
 	buckets map[string][]rel.Tuple
@@ -173,22 +94,18 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 }
 
 // Engine evaluates conjunctive queries, unions of conjunctive queries and
-// datalog programs over a rel.Instance using lazily-built per-shard hash
-// indexes, distinct-value-statistics join ordering, and shard-parallel
-// scans and probes. It is the indexed replacement for the naive evaluator
-// in package rel (which remains the reference oracle).
+// datalog programs over a rel.Instance using lazily-built hash indexes and
+// distinct-value-statistics join ordering. It is the indexed replacement
+// for the naive evaluator in package rel (which remains the reference
+// oracle).
 //
 // Concurrency: concurrent evaluations are safe with each other, and the
-// underlying sharded relations tolerate concurrent inserts (each shard
-// self-synchronizes); callers that need one atomic point-in-time answer
-// across mutations still serialize them externally (pdms.Network,
-// netpeer.Server). Indexes catch up with inserts shard by shard on the
-// next probe.
+// underlying relations tolerate concurrent inserts (each self-synchronizes);
+// callers that need one atomic point-in-time answer across mutations still
+// serialize them externally (pdms.Network, netpeer.Server). Indexes catch
+// up with inserts on the next probe.
 type Engine struct {
-	// data is the storage view every read path (scans, probes, indexes,
-	// stats) consumes; the engine never depends on the concrete in-memory
-	// representation behind it.
-	data  store.Instance
+	data  *rel.Instance
 	plans *PlanCache
 
 	// uniformCost disables the distinct-value cost model, restoring the
@@ -197,21 +114,20 @@ type Engine struct {
 
 	// mu guards the two-level index map. Probes take the read lock only to
 	// locate the *index for their (relation, column-set); all bucket state
-	// is then guarded per shard inside the index, so concurrent probes of
-	// different shards proceed in parallel.
+	// is then guarded inside the index, so probes of different indexes never
+	// contend here.
 	mu      sync.RWMutex
 	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
 
 	probes        atomic.Uint64
 	scans         atomic.Uint64
-	parallelScans atomic.Uint64
 	plansCompiled atomic.Uint64
 	indexesBuilt  atomic.Uint64
 }
 
 // New returns an engine over ins with its own plan cache.
 func New(ins *rel.Instance) *Engine {
-	return &Engine{data: store.InstanceOf(ins), plans: NewPlanCache(1024), indexes: map[string]map[string]*index{}}
+	return &Engine{data: ins, plans: NewPlanCache(1024), indexes: map[string]map[string]*index{}}
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -219,7 +135,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Probes:        e.probes.Load(),
 		Scans:         e.scans.Load(),
-		ParallelScans: e.parallelScans.Load(),
 		PlansCompiled: e.plansCompiled.Load(),
 		IndexesBuilt:  e.indexesBuilt.Load(),
 	}
@@ -234,7 +149,7 @@ func (e *Engine) card(pred string) int {
 }
 
 // colStats returns the planner statistics for pred: cardinality plus the
-// per-column distinct-value estimates maintained by the backend's
+// per-column distinct-value estimates maintained by the relation's
 // insert-time sketches. Absent relations report zero cardinality and no
 // column stats.
 func (e *Engine) colStats(pred string) ColStats {
@@ -246,9 +161,9 @@ func (e *Engine) colStats(pred string) ColStats {
 	return ColStats{Card: st.Rows, Distinct: st.Distinct}
 }
 
-// getIndex returns (creating if needed) the per-shard index set of r for
-// the bound-position set cols.
-func (e *Engine) getIndex(r store.Relation, cols []int) *index {
+// getIndex returns (creating if needed) the index of r for the
+// bound-position set cols.
+func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	ck := colsKey(cols)
 	e.mu.RLock()
 	idx := e.indexes[r.Name()][ck]
@@ -265,78 +180,47 @@ func (e *Engine) getIndex(r store.Relation, cols []int) *index {
 	}
 	idx = byCols[ck]
 	if idx == nil {
-		idx = &index{cols: cols, shards: make([]idxShard, r.NumShards())}
-		for i := range idx.shards {
-			//lint:ignore lockcheck the index is freshly built and unpublished; no probe can reach its shard locks until byCols[ck] is set below
-			idx.shards[i].buckets = map[string][]rel.Tuple{}
-		}
+		idx = &index{cols: cols, buckets: map[string][]rel.Tuple{}}
 		byCols[ck] = idx
 		e.indexesBuilt.Add(1)
 	}
 	return idx
 }
 
-// probeShard answers one shard's half of a probe: catch the shard index up
-// with the shard's insert log if it has grown, then look the key up. The
-// returned bucket must not be mutated.
-func probeShard(r store.Relation, idx *index, s int, key []byte) []rel.Tuple {
-	ish := &idx.shards[s]
-	ish.mu.RLock()
-	if ish.consumed == r.ShardVersion(s) {
-		b := ish.buckets[string(key)]
-		ish.mu.RUnlock()
-		return b
-	}
-	ish.mu.RUnlock()
-	ish.mu.Lock()
-	added := r.ShardAddedSince(s, ish.consumed)
-	for _, t := range added {
-		k := bucketKey(t, idx.cols)
-		ish.buckets[k] = append(ish.buckets[k], t)
-	}
-	ish.consumed += uint64(len(added))
-	b := ish.buckets[string(key)]
-	ish.mu.Unlock()
-	return b
-}
-
-// probe returns the tuples of r whose projection onto cols equals vals
-// (one value per column). When cols includes the partitioning column 0 the
-// probe is routed to the single shard that can hold matches and returns
-// that shard's bucket directly; otherwise every shard is consulted and the
-// matches are merged into scratch. It returns the result and the (possibly
-// grown) scratch buffer for reuse — the result may alias either a shared
-// index bucket or the scratch, so callers must treat it as read-only and
-// must not retain it past the next probe that reuses the same scratch.
-func (e *Engine) probe(r store.Relation, cols []int, vals []string, kb *[]byte, scratch []rel.Tuple) ([]rel.Tuple, []rel.Tuple) {
+// probe returns the tuples of r whose projection onto cols equals vals (one
+// value per column): it catches the index up with r's insert log if r has
+// grown, then looks the key up. kb is a reusable key buffer. The result is
+// a shared index bucket and must not be mutated.
+func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte) []rel.Tuple {
 	key := appendProbeKey((*kb)[:0], vals)
 	*kb = key
 	idx := e.getIndex(r, cols)
-	if r.NumShards() == 1 {
-		return probeShard(r, idx, 0, key), scratch
+	idx.mu.RLock()
+	if idx.consumed == r.Version() {
+		b := idx.buckets[string(key)]
+		idx.mu.RUnlock()
+		return b
 	}
-	for i, c := range cols {
-		if c == 0 {
-			return probeShard(r, idx, r.ShardFor(vals[i]), key), scratch
-		}
+	idx.mu.RUnlock()
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	added := r.AddedSince(idx.consumed)
+	for _, t := range added {
+		k := bucketKey(t, idx.cols)
+		idx.buckets[k] = append(idx.buckets[k], t)
 	}
-	scratch = scratch[:0]
-	for s := 0; s < r.NumShards(); s++ {
-		scratch = append(scratch, probeShard(r, idx, s, key)...)
-	}
-	return scratch, scratch
+	idx.consumed += uint64(len(added))
+	return idx.buckets[string(key)]
 }
 
 // ProbeByKeyBatchYield invokes yield once per distinct tuple of pred whose
 // projection onto cols equals one of keys, building (or incrementally
-// catching up) the same lazy per-shard hash indexes that regular probe
-// steps use. Every key must supply len(cols) values. Tuples stream out as
+// catching up) the same lazy hash indexes that regular probe steps use.
+// Every key must supply len(cols) values. Tuples stream out as
 // the keys are probed — nothing beyond the dedup set is materialized —
 // which is the server-side substrate for netpeer's chunked bind responses.
-// Large batches over a sharded relation fan the probing out across a
-// bounded worker pool; yields are serialized, but their order across keys
-// is then unspecified. Returning ErrStop from yield ends the stream without
-// error.
+// Tuples come out key by key, each key's matches in insertion order.
+// Returning ErrStop from yield ends the stream without error.
 func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, yield func(rel.Tuple) error) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("engine: ProbeByKeyBatch on %s needs at least one column", pred)
@@ -355,18 +239,11 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 			return fmt.Errorf("engine: ProbeByKeyBatch key %v has %d values, want %d", key, len(key), len(cols))
 		}
 	}
-	workers := min(scanWorkers(), r.NumShards())
-	if r.NumShards() > 1 && workers > 1 && len(keys) >= parallelProbeMinKeys {
-		return e.probeBatchParallel(r, cols, keys, workers, yield)
-	}
 	seen := map[string]bool{}
 	var kb []byte
-	var scratch []rel.Tuple
 	for _, key := range keys {
 		e.probes.Add(1)
-		var tuples []rel.Tuple
-		tuples, scratch = e.probe(r, cols, key, &kb, scratch)
-		for _, t := range tuples {
+		for _, t := range e.probe(r, cols, key, &kb) {
 			if k := t.Key(); !seen[k] {
 				seen[k] = true
 				if err := yield(t); err != nil {
@@ -381,71 +258,8 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 	return nil
 }
 
-// probeBatchChunk is how many keys one parallel probe task claims at a
-// time: large enough to amortize channel traffic, small enough to balance
-// skewed batches.
-const probeBatchChunk = 256
-
-// probeBatchParallel fans a large bound-key batch out over the shard worker
-// pool. Each worker probes its keys' shards independently (per-shard index
-// locks keep them from contending unless the keys are skewed onto one
-// shard); the dedup set and the yield are serialized under the fan-out's
-// mutex.
-func (e *Engine) probeBatchParallel(r store.Relation, cols []int, keys [][]string, workers int, yield func(rel.Tuple) error) error {
-	f := &fanOut{}
-	seen := map[string]bool{}
-	chunks := (len(keys) + probeBatchChunk - 1) / probeBatchChunk
-	err := f.dispatch(workers, chunks, func(queue <-chan int) {
-		var kb []byte
-		var scratch []rel.Tuple
-		for ci := range queue {
-			if f.stop.Load() {
-				continue
-			}
-			start := ci * probeBatchChunk
-			end := min(start+probeBatchChunk, len(keys))
-			for _, key := range keys[start:end] {
-				if f.stop.Load() {
-					break
-				}
-				e.probes.Add(1)
-				var tuples []rel.Tuple
-				tuples, scratch = e.probe(r, cols, key, &kb, scratch)
-				if len(tuples) == 0 {
-					continue
-				}
-				f.yieldMu.Lock()
-				// Re-check under the mutex: a sibling may have recorded
-				// ErrStop (or an error) while this worker was blocked on
-				// the lock, and the stream contract forbids yielding past
-				// that point.
-				if f.stop.Load() {
-					f.yieldMu.Unlock()
-					break
-				}
-				for _, t := range tuples {
-					if k := t.Key(); !seen[k] {
-						seen[k] = true
-						if err := yield(t); err != nil {
-							f.fail(err)
-							break
-						}
-					}
-				}
-				f.yieldMu.Unlock()
-			}
-		}
-	})
-	// ProbeByKeyBatchYield's contract: ErrStop ends the stream cleanly.
-	if err != nil && !errors.Is(err, ErrStop) {
-		return err
-	}
-	return nil
-}
-
 // ProbeByKeyBatch is ProbeByKeyBatchYield materialized: it returns the
-// distinct matching tuples as a slice (in unspecified order for large
-// batches over sharded relations).
+// distinct matching tuples as a slice, in yield order.
 func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]rel.Tuple, error) {
 	var out []rel.Tuple
 	err := e.ProbeByKeyBatchYield(pred, cols, keys, func(t rel.Tuple) error {
@@ -458,10 +272,9 @@ func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]re
 	return out, nil
 }
 
-// StreamScan invokes yield once per tuple of pred, shard by shard in
-// insertion order within each shard (no sort, no materialization — the
-// per-shard logs are already distinct). It is the streaming substrate for
-// the netpeer server's "scan" op. Returning ErrStop from yield ends the
+// StreamScan invokes yield once per tuple of pred, in insertion order (no
+// sort, no materialization — the insert log is already distinct). It is the
+// streaming substrate for the netpeer server's "scan" op. Returning ErrStop from yield ends the
 // stream without error. An absent relation yields nothing.
 func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	r := e.data.Relation(pred)
@@ -469,14 +282,12 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 		return nil
 	}
 	e.scans.Add(1)
-	for s := 0; s < r.NumShards(); s++ {
-		for _, t := range r.ShardAddedSince(s, 0) {
-			if err := yield(t); err != nil {
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
-				return err
+	for _, t := range r.AddedSince(0) {
+		if err := yield(t); err != nil {
+			if errors.Is(err, ErrStop) {
+				return nil
 			}
+			return err
 		}
 	}
 	return nil
@@ -514,10 +325,7 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 // order (no sort, no result materialization beyond the dedup set), so
 // callers can forward rows incrementally — the netpeer server streams
 // eval results over the wire through this hook instead of buffering the
-// whole answer. When the plan opens with a full scan of a large sharded
-// relation the scan fans out across shards, making discovery order
-// unspecified; yields are always serialized. Returning ErrStop from yield
-// ends the stream without error. The yielded tuple is freshly allocated;
+// whole answer. Returning ErrStop from yield ends the stream without error. The yielded tuple is freshly allocated;
 // callers may keep it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	p, err := e.plan(q.Canonical(), q)
@@ -701,11 +509,7 @@ func EvalDatalog(rules []lang.CQ, base *rel.Instance) (*rel.Instance, error) {
 
 	delta := base.Clone()
 	for {
-		// Per-round deltas are sharded like the base instance: delta pivot
-		// scans route through the same per-shard worker pool as full scans
-		// (parallelScanTarget), so a large round's delta is drained in
-		// parallel instead of single-shard.
-		next := rel.NewInstanceSharded(total.ShardCount())
+		next := rel.NewInstance()
 		for _, pp := range plans {
 			if delta.Relation(pp.plan.steps[0].pred) == nil {
 				continue

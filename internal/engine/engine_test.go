@@ -256,8 +256,9 @@ func TestProbeByKeyBatchYield(t *testing.T) {
 	e := New(ins)
 	keys := [][]string{{"k1"}, {"k2"}, {"k1"}}
 	want, err := e.ProbeByKeyBatch("R", []int{0}, keys)
-	if err != nil || len(want) != 3 {
-		t.Fatalf("materialized: %v (%v)", want, err)
+	// Key by key, each key's matches in insertion order.
+	if inOrder := []rel.Tuple{{"k1", "a"}, {"k1", "b"}, {"k2", "c"}}; err != nil || !reflect.DeepEqual(want, inOrder) {
+		t.Fatalf("materialized: %v (%v), want %v", want, err, inOrder)
 	}
 	var got []rel.Tuple
 	if err := e.ProbeByKeyBatchYield("R", []int{0}, keys, func(tu rel.Tuple) error {

@@ -12,13 +12,12 @@ import (
 // RegisterMetrics registers the engine's cumulative counters, and its plan
 // cache's, as the "engine" snapshot group of reg, so one obs snapshot
 // reports them under stable dotted names (engine.probes,
-// engine.parallel_scans, engine.plan_cache.hits, …).
+// engine.scans, engine.plan_cache.hits, …).
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterGroup("engine", func(em *obs.Emitter) {
 		st := e.Stats()
 		em.Counter("probes", st.Probes)
 		em.Counter("scans", st.Scans)
-		em.Counter("parallel_scans", st.ParallelScans)
 		em.Counter("plans_compiled", st.PlansCompiled)
 		em.Counter("indexes_built", st.IndexesBuilt)
 		pc := e.plans.Stats()

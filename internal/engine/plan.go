@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // Plan is a compiled evaluation order for one conjunctive query: body atoms
@@ -309,9 +307,8 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 	return compiledComp{op: c.Op, l: part(c.L), r: part(c.R)}
 }
 
-// runCtx is the per-evaluation (per-worker, on the parallel path) state of
-// one plan execution: the slot array, reusable key and probe-merge buffers,
-// and an optional cancellation flag shared with sibling workers.
+// runCtx is the per-evaluation state of one plan execution: the slot array
+// and reusable key buffers.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -320,25 +317,6 @@ type runCtx struct {
 	slots []string
 	key   []byte
 	vals  []string
-	// bufs holds one probe-merge scratch buffer per plan step: step i's
-	// iteration over a merged probe result finishes before any other probe
-	// at depth i runs in the same context, so per-depth reuse is safe.
-	bufs [][]rel.Tuple
-	// stop, when non-nil, is the shared cancellation flag of a parallel
-	// scan; checked per tuple so sibling workers drain quickly after an
-	// error or early stop.
-	stop *atomic.Bool
-}
-
-func newRunCtx(e *Engine, p *Plan, delta *rel.Instance, yield func([]string) error) *runCtx {
-	return &runCtx{
-		e:     e,
-		p:     p,
-		delta: delta,
-		yield: yield,
-		slots: make([]string, p.nslots),
-		bufs:  make([][]rel.Tuple, len(p.steps)),
-	}
 }
 
 // step executes plan step i and everything below it.
@@ -360,7 +338,7 @@ func (rc *runCtx) step(i int) error {
 			return fmt.Errorf("engine: atom %s/%d, delta relation has arity %d", st.pred, st.arity, r.Arity())
 		}
 		rc.e.scans.Add(1)
-		return rc.scanShards(i, st, r)
+		return rc.feed(i, st, r.AddedSince(0))
 	}
 	r := rc.e.data.Relation(st.pred)
 	if r == nil {
@@ -371,9 +349,9 @@ func (rc *runCtx) step(i int) error {
 	}
 	if len(st.keyCols) == 0 {
 		rc.e.scans.Add(1)
-		return rc.scanShards(i, st, r)
+		return rc.feed(i, st, r.AddedSince(0))
 	}
-	// Probe path: resolve the key parts, look up the per-shard indexes.
+	// Probe path: resolve the key parts, look up the index.
 	if cap(rc.vals) < len(st.keyParts) {
 		rc.vals = make([]string, len(st.keyParts))
 	}
@@ -386,20 +364,7 @@ func (rc *runCtx) step(i int) error {
 		}
 	}
 	rc.e.probes.Add(1)
-	tuples, scratch := rc.e.probe(r, st.keyCols, vals, &rc.key, rc.bufs[i])
-	rc.bufs[i] = scratch
-	return rc.feed(i, st, tuples)
-}
-
-// scanShards runs step i as a full scan, shard by shard (the per-shard
-// logs are distinct and cover the relation).
-func (rc *runCtx) scanShards(i int, st *planStep, r store.Relation) error {
-	for s := 0; s < r.NumShards(); s++ {
-		if err := rc.feed(i, st, r.ShardAddedSince(s, 0)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rc.feed(i, st, rc.e.probe(r, st.keyCols, vals, &rc.key))
 }
 
 // feed applies step i's checks and binds to each candidate tuple and
@@ -407,9 +372,6 @@ func (rc *runCtx) scanShards(i int, st *planStep, r store.Relation) error {
 func (rc *runCtx) feed(i int, st *planStep, tuples []rel.Tuple) error {
 next:
 	for _, tup := range tuples {
-		if rc.stop != nil && rc.stop.Load() {
-			return errCanceled
-		}
 		for _, cc := range st.checkConsts {
 			if tup[cc.pos] != cc.val {
 				continue next
@@ -443,92 +405,13 @@ next:
 // run executes the plan, invoking yield with the slot array for every body
 // match. delta supplies the scan source for delta steps (datalog); nil
 // otherwise. The slot array is reused across yields — callers must copy
-// what they keep. When the plan opens with a full scan of a large sharded
-// relation, the scan fans out across shards over a bounded worker pool
-// (yields serialized, match order unspecified); otherwise execution is
-// sequential and deterministic.
+// what they keep.
 func (e *Engine) run(p *Plan, delta *rel.Instance, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {
 			return nil
 		}
 	}
-	if r, workers := e.parallelScanTarget(p, delta); r != nil {
-		return e.runParallel(p, delta, r, workers, yield)
-	}
-	return newRunCtx(e, p, delta, yield).step(0)
-}
-
-// parallelScanTarget reports whether the plan's first step is a full scan
-// eligible for shard fan-out, returning the scanned relation and the worker
-// count (nil/0 when the sequential path should run: probe first steps,
-// unsharded or small relations, single-worker configurations). A delta
-// first step (datalog semi-naive pivot) scans the per-round delta instance
-// and fans out under exactly the same gates — large deltas are the whole
-// cost of a semi-naive round, so they use the same shard worker pool as
-// full scans.
-func (e *Engine) parallelScanTarget(p *Plan, delta *rel.Instance) (store.Relation, int) {
-	if len(p.steps) == 0 {
-		return nil, 0
-	}
-	st := &p.steps[0]
-	if len(st.keyCols) > 0 {
-		return nil, 0
-	}
-	var r store.Relation
-	if st.delta {
-		if delta == nil {
-			return nil, 0
-		}
-		if dr := delta.Relation(st.pred); dr != nil {
-			r = dr
-		}
-	} else {
-		r = e.data.Relation(st.pred)
-	}
-	if r == nil || r.Arity() != st.arity || r.NumShards() <= 1 {
-		return nil, 0
-	}
-	workers := min(scanWorkers(), r.NumShards())
-	// Version (a loop of atomic loads) equals Len under set semantics —
-	// the generation counts exactly the distinct inserts — and skips the
-	// per-shard mutex round-trips Len would pay on this per-query path.
-	if workers <= 1 || r.Version() < uint64(parallelScanMinRows) {
-		return nil, 0
-	}
-	return r, workers
-}
-
-// runParallel executes the plan with its opening scan fanned out across
-// r's shards: each worker owns a private runCtx (slots, buffers) and
-// drains whole shards, funneling matches through the fan-out's serialized
-// yield. The first error (or ErrStop) recorded wins and flips the shared
-// stop flag, which every worker polls per tuple; run's callers apply the
-// usual ErrStop mapping, exactly as on the sequential path.
-func (e *Engine) runParallel(p *Plan, delta *rel.Instance, r store.Relation, workers int, yield func(slots []string) error) error {
-	e.scans.Add(1)
-	e.parallelScans.Add(1)
-	f := &fanOut{}
-	syield := func(slots []string) error {
-		f.yieldMu.Lock()
-		defer f.yieldMu.Unlock()
-		if f.stop.Load() {
-			return errCanceled
-		}
-		return yield(slots)
-	}
-	return f.dispatch(workers, r.NumShards(), func(queue <-chan int) {
-		rc := newRunCtx(e, p, delta, syield)
-		rc.stop = &f.stop
-		st := &p.steps[0]
-		for s := range queue {
-			if f.stop.Load() {
-				continue
-			}
-			err := rc.feed(0, st, r.ShardAddedSince(s, 0))
-			if err != nil && err != errCanceled {
-				f.fail(err)
-			}
-		}
-	})
+	rc := &runCtx{e: e, p: p, delta: delta, yield: yield, slots: make([]string, p.nslots)}
+	return rc.step(0)
 }

@@ -14,19 +14,19 @@ import (
 // diskBackedPair journals a random data set through store.Dir, crashes
 // (drops the live instance), and recovers from the segments — returning the
 // in-memory oracle instance and the disk-recovered one.
-func diskBackedPair(t *testing.T, rng *rand.Rand, domain, shards int) (*rel.Instance, *rel.Instance, *store.Dir) {
+func diskBackedPair(t *testing.T, rng *rand.Rand, domain int) (*rel.Instance, *rel.Instance, *store.Dir) {
 	t.Helper()
 	dir := t.TempDir()
 	d, err := store.Open(dir, store.Options{MaxSegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	live, _, err := d.Recover(shards)
+	live, _, err := d.Recover(0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	d.Attach(live)
-	mem := rel.NewInstanceSharded(1)
+	mem := rel.NewInstance()
 	for _, p := range diffPreds {
 		n := rng.Intn(60)
 		for i := 0; i < n; i++ {
@@ -45,7 +45,7 @@ func diskBackedPair(t *testing.T, rng *rand.Rand, domain, shards int) (*rel.Inst
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	recovered, _, err := d2.Recover(shards)
+	recovered, _, err := d2.Recover(0)
 	if err != nil {
 		t.Fatalf("recover after close: %v", err)
 	}
@@ -53,16 +53,15 @@ func diskBackedPair(t *testing.T, rng *rand.Rand, domain, shards int) (*rel.Inst
 	return mem, recovered, d2
 }
 
-// TestDifferentialDiskBackedCQ runs the sharded differential corpus against
-// the disk-backed layout: the engine over a segment-recovered instance (with
-// forced parallel fan-out and journaled mid-test mutations) must agree
-// exactly with the naive oracle over a plain in-memory copy.
+// TestDifferentialDiskBackedCQ runs the differential corpus against the
+// disk-backed layout: the engine over a segment-recovered instance (with
+// journaled mid-test mutations) must agree exactly with the naive oracle
+// over a plain in-memory copy.
 func TestDifferentialDiskBackedCQ(t *testing.T) {
-	forceParallel(t)
 	for seed := 0; seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(int64(31000 + seed)))
 		domain := 3 + rng.Intn(5)
-		mem, disk, d := diskBackedPair(t, rng, domain, 2+rng.Intn(7))
+		mem, disk, d := diskBackedPair(t, rng, domain)
 		e := New(disk)
 		for k := 0; k < 3; k++ {
 			q := randCQ(rng, domain)
@@ -75,7 +74,7 @@ func TestDifferentialDiskBackedCQ(t *testing.T) {
 				t.Fatalf("seed %d: mismatch on %s:\nnaive       %v\ndisk-backed %v", seed, q, want, got)
 			}
 			// Mutations after recovery go through the re-attached journal
-			// hooks; the engine's per-shard index catch-up must still see
+			// hooks; the engine's index catch-up must still see
 			// them immediately.
 			p := diffPreds[rng.Intn(len(diffPreds))]
 			tup := make(rel.Tuple, p.arity)
@@ -91,12 +90,10 @@ func TestDifferentialDiskBackedCQ(t *testing.T) {
 	}
 }
 
-// TestDatalogParallelDeltaEquivalence: with the fan-out gates dropped, the
-// semi-naive datalog rounds (whose deltas are sharded and scanned through
-// the same per-shard worker pool as base-relation scans) must compute
-// exactly the naive fixpoint.
-func TestDatalogParallelDeltaEquivalence(t *testing.T) {
-	forceParallel(t)
+// TestDatalogDeltaEquivalence: the semi-naive datalog rounds, whose pivot
+// steps scan the per-round delta instance, must compute exactly the naive
+// fixpoint.
+func TestDatalogDeltaEquivalence(t *testing.T) {
 	rules := []lang.CQ{
 		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
 			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}},
@@ -107,7 +104,7 @@ func TestDatalogParallelDeltaEquivalence(t *testing.T) {
 	}
 	for seed := 0; seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(int64(41000 + seed)))
-		ins := rel.NewInstanceSharded(2 + rng.Intn(7))
+		ins := rel.NewInstance()
 		n := 30 + rng.Intn(60)
 		for i := 0; i < n; i++ {
 			ins.MustAdd("E", fmt.Sprintf("n%d", rng.Intn(16)), fmt.Sprintf("n%d", rng.Intn(16)))
@@ -121,43 +118,7 @@ func TestDatalogParallelDeltaEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("seed %d: parallel-delta fixpoint mismatch", seed)
+			t.Fatalf("seed %d: semi-naive fixpoint mismatch", seed)
 		}
-	}
-}
-
-// TestParallelScanTargetDeltaStep: a compiled delta-first plan resolves its
-// parallel scan target from the per-round delta instance and fans out under
-// the same gates as a base-relation scan.
-func TestParallelScanTargetDeltaStep(t *testing.T) {
-	forceParallel(t)
-	base := rel.NewInstanceSharded(4)
-	base.MustAdd("E", "a", "b")
-	e := New(base)
-	rule := lang.CQ{
-		Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-		Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))},
-	}
-	p, err := e.compile(rule, 0) // pivot 0: delta-first step
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.steps[0].delta {
-		t.Fatalf("pivot step not marked delta")
-	}
-	delta := rel.NewInstanceSharded(4)
-	for i := 0; i < 64; i++ {
-		delta.MustAdd("E", fmt.Sprintf("d%d", i), "y")
-	}
-	r, workers := e.parallelScanTarget(p, delta)
-	if r == nil || workers < 2 {
-		t.Fatalf("delta step did not fan out: r=%v workers=%d", r, workers)
-	}
-	if r.Name() != "E" || r.Version() != delta.Relation("E").Version() {
-		t.Fatalf("parallel scan target is not the delta relation: %s@%d", r.Name(), r.Version())
-	}
-	// Without a delta instance the same plan must not fan out.
-	if r, _ := e.parallelScanTarget(p, nil); r != nil {
-		t.Fatalf("delta-first plan fanned out with no delta instance")
 	}
 }

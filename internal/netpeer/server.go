@@ -108,7 +108,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -199,14 +198,11 @@ type Server struct {
 	// consumer plus one pending writer would convoy every later reader
 	// behind this write-preferring RWMutex (see handleAdd). Read-side
 	// inserts are safe because the instance itself self-synchronizes:
-	// relation shards carry their own locks and rel.Instance serializes
+	// relations carry their own locks and rel.Instance serializes
 	// first-use relation creation internally, so this RLock only pins the
 	// instance pointer.
 	mu   sync.RWMutex
 	data *rel.Instance // guarded by mu (all access under RLock; instance self-synchronizes)
-	// view is the storage-interface view of data the catalog/meta paths
-	// read; same guard discipline as data.
-	view store.Instance
 	eng  *engine.Engine
 
 	// reqHist times every admitted request (dequeue to final frame
@@ -296,7 +292,6 @@ func NewServer(data *rel.Instance) *Server {
 	}
 	return &Server{
 		data:          data,
-		view:          store.InstanceOf(data),
 		eng:           engine.New(data),
 		reqHist:       obs.NewHistogram(),
 		queueWaitHist: obs.NewHistogram(),
@@ -305,7 +300,7 @@ func NewServer(data *rel.Instance) *Server {
 }
 
 // AddFact inserts a tuple into a served relation. Inserts self-synchronize
-// inside the instance — at the shard level for tuples, under rel.Instance's
+// inside the instance — per relation for tuples, under rel.Instance's
 // own lock for first-use relation creation — so this never waits for (or
 // convoys behind) an in-flight response stream; the read lock only pins
 // the instance pointer.
@@ -660,7 +655,7 @@ func (c *chunker) finish(preds []string, cards []int, gens []uint64, dists [][]f
 // handleStream answers one request as a stream of frames through send. It
 // returns the first transport error, or nil once the response — success or
 // in-band error — is fully written. Row production runs under the read
-// lock, but so do concurrent adds (shards self-synchronize): with
+// lock, but so do concurrent adds (relations self-synchronize): with
 // append-only relations a stream observes a superset of the instance at
 // its start and a subset of the instance at its end, the sound consistency
 // contract for monotone conjunctive queries — and the one that keeps a
@@ -709,7 +704,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		gens := make([]uint64, len(preds))
 		dists := make([][]float64, len(preds))
 		for i, p := range preds {
-			if r := s.view.Relation(p); r != nil {
+			if r := s.data.Relation(p); r != nil {
 				cards[i] = r.Len()
 				gens[i] = r.Version()
 				// Per-column distinct estimates from the relation's HLL
@@ -721,7 +716,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	}
 	switch req.Op {
 	case "catalog":
-		preds, cards, gens, dists := metaOf(s.view.Relations()...)
+		preds, cards, gens, dists := metaOf(s.data.Relations()...)
 		return send(wire.Response{Preds: preds, Cards: cards, Gens: gens, Distinct: dists, Spans: exported()})
 	case "gens":
 		// The fragment-cache revalidation round trip: tiny and row-free.
@@ -737,9 +732,9 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// relation state.
 		return send(wire.Response{Spans: exported()})
 	case "scan":
-		// StreamScan walks the per-shard insert logs directly: no sort, no
-		// sorted-view materialization, O(chunk) memory end to end. Row order
-		// is per-shard insertion order (unspecified globally).
+		// StreamScan walks the relation's insert log directly: no sort, no
+		// sorted-view materialization, O(chunk) memory end to end. Rows come
+		// out in insertion order.
 		preds, cards, gens, dists := metaOf(req.Pred)
 		c := &chunker{send: send}
 		ss := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
@@ -815,7 +810,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 }
 
 // handleAdd applies one add request: insert req.Rows into req.Pred (rows
-// become visible individually as each shard-level insert lands — the batch
+// become visible individually as each insert lands — the batch
 // is not an atomic unit of visibility), then answer with a single final
 // frame whose piggyback metadata (cardinality, generation) is read after
 // the last insert, so the client's fragment cache sees a generation at
@@ -823,7 +818,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 // it stay inserted (the in-band error reports how many landed).
 //
 // Inserts deliberately run under the read lock (tuple inserts synchronize
-// at the shard level, and rel.Instance internally serializes the map write
+// per relation, and rel.Instance internally serializes the map write
 // when a new predicate materializes a relation): an exclusive lock here
 // would convoy the whole server behind any stalled response stream —
 // streams hold the read lock end to end, so one slow consumer plus one
@@ -848,7 +843,7 @@ func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exp
 	var cards []int
 	var gens []uint64
 	var dists [][]float64
-	if r := s.view.Relation(req.Pred); r != nil {
+	if r := s.data.Relation(req.Pred); r != nil {
 		cards = []int{r.Len()}
 		gens = []uint64{r.Version()}
 		dists = [][]float64{r.Stats().Distinct}

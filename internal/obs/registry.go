@@ -15,7 +15,7 @@
 //
 // One Registry.Snapshot() (or the package-level Snapshot() over the
 // Default registry) returns everything: counters, gauges and histogram
-// percentiles keyed by dotted name ("engine.parallel_scans",
+// percentiles keyed by dotted name ("engine.scans",
 // "fragcache.hits", "wire.bind_batches_pipelined", …). WritePrometheus
 // renders the same snapshot in the Prometheus text exposition format, and
 // Handler serves both plus recent traces and pprof over HTTP — the

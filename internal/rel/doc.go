@@ -1,5 +1,5 @@
-// Package rel is the relational execution substrate: sharded instances of
-// stored relations, set-semantics evaluation of conjunctive queries and
+// Package rel is the relational execution substrate: instances of stored
+// relations, set-semantics evaluation of conjunctive queries and
 // unions of conjunctive queries, and semi-naive datalog evaluation.
 //
 // The paper defers query execution ("the precise method of evaluating Q' is
@@ -7,43 +7,36 @@
 // reformulated queries can actually be answered over stored relations, and
 // so the chase-based certain-answer oracle has an evaluator to run on.
 //
-// # Shards
+// # Relations
 //
-// A Relation is hash-partitioned over N shards by its first column's value
-// (rel.ShardOf; N defaults to one shard per CPU, see DefaultShards, and
-// N = 1 reproduces the unsharded layout exactly). Each shard owns its own
-// tuple set, append-only insert log and generation counter behind its own
-// mutex, so inserts to different shards — and the index catch-ups and
-// parallel scans internal/engine runs over them — never contend on one
-// lock. The partitioning column is the first because join keys and pushed
-// constants land there most often in this codebase's workloads, letting the
-// engine route a probe whose bound-position set includes column 0 to the
-// single shard that can hold matches.
+// A Relation is one tuple set, one append-only insert log, one generation
+// counter and one distinct-value sketch per column, all behind one mutex.
+// How a peer lays out its stored relations is its own business in the
+// paper; this package keeps the simplest layout that serves the engine.
 //
 // # Generations
 //
-// Every shard counts its inserts; Relation.Version folds (sums) the
-// per-shard counters into the same monotonic per-relation insert count the
-// system has always used, so the generation-vector answer cache
-// (pdms.Network) and the netpeer gens piggyback are unchanged in meaning
-// and granularity. Derived structures that must catch up incrementally —
-// the engine's lazy hash indexes — consume the per-shard vector instead
-// (ShardVersion / ShardAddedSince): tuples are never deleted, so a shard's
-// log suffix is exactly what that shard gained since a given version.
+// Every relation counts its inserts; Relation.Version is that monotonic
+// per-relation insert count, so the generation-vector answer cache
+// (pdms.Network) and the netpeer gens piggyback key on it. Derived
+// structures that must catch up incrementally — the engine's lazy hash
+// indexes — read the log suffix past the version they last consumed
+// (AddedSince): tuples are never deleted, so that suffix is exactly what
+// the relation gained since.
 //
 // # Statistics
 //
-// Each shard also maintains one small HyperLogLog sketch per column,
-// updated on every insert and merged across shards by Relation.Stats. The
-// resulting approximate distinct-value counts feed the engine planner's
-// selectivity model (a bound column with d distinct values keeps roughly
-// 1/d of a relation), replacing the fixed per-bound-argument discount.
-// Estimates are deterministic for a given data set and can only influence
-// join order, never answers.
+// Each relation also maintains one small HyperLogLog sketch per column,
+// updated on every insert and read by Relation.Stats. The resulting
+// approximate distinct-value counts feed the engine planner's selectivity
+// model (a bound column with d distinct values keeps roughly 1/d of a
+// relation), replacing the fixed per-bound-argument discount. Estimates
+// are deterministic for a given data set and can only influence join
+// order, never answers.
 //
 // The naive evaluators in this package (EvalCQ, EvalUCQ, EvalDatalog)
-// remain the reference oracles that internal/engine — the indexed,
-// parallel evaluator used on every hot path — is differentially tested
+// remain the reference oracles that internal/engine — the indexed
+// evaluator used on every hot path — is differentially tested
 // against. See ARCHITECTURE.md at the repository root for how this layer
 // fits under the mediator, engine and wire layers.
 package rel

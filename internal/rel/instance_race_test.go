@@ -36,7 +36,7 @@ func TestInstanceConcurrentCreate(t *testing.T) {
 		wg.Add(1)
 		go func(pred string) {
 			defer wg.Done()
-			if r := ins.EnsureRelation(pred, 1, 0); r == nil {
+			if r := ins.EnsureRelation(pred, 1); r == nil {
 				t.Errorf("ensure %s returned nil", pred)
 			}
 		}(pred)

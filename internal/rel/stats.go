@@ -6,8 +6,7 @@ import (
 )
 
 // Per-column distinct-value sketches: a small HyperLogLog (2^sketchP
-// registers) per column per shard, updated on every insert and merged
-// across shards on demand. They power the planner's selectivity estimates
+// registers) per column, updated on every insert. They power the planner's selectivity estimates
 // (internal/engine.OrderBodyStats): binding a column with many distinct
 // values narrows a probe far more than binding one with few, which the old
 // fixed per-bound-argument discount could not see.
@@ -15,11 +14,9 @@ import (
 // Properties that matter here:
 //
 //   - Incremental: add is O(1) per column per insert, no rebuild ever.
-//   - Mergeable: registers combine by element-wise max, so per-shard
-//     sketches fold into one relation-level estimate without coordination.
 //   - Deterministic: the estimate depends only on the set of values
 //     inserted (register updates are max operations), never on insertion
-//     order or shard layout — the same data always plans the same way.
+//     order — the same data always plans the same way.
 //   - Approximate: standard error is about 1.04/sqrt(2^sketchP) (~3.3% at
 //     sketchP = 10), with a linear-counting correction making small
 //     cardinalities near exact. Estimates steer join ordering only; they
@@ -64,21 +61,6 @@ func (sk *sketch) add(h uint64) {
 	}
 }
 
-// merge folds another sketch into this one (element-wise max).
-func (sk *sketch) merge(o sketch) {
-	if o.reg == nil {
-		return
-	}
-	if sk.reg == nil {
-		sk.reg = make([]uint8, sketchM)
-	}
-	for i, r := range o.reg {
-		if r > sk.reg[i] {
-			sk.reg[i] = r
-		}
-	}
-}
-
 // clone returns an independent copy.
 func (sk sketch) clone() sketch {
 	if sk.reg == nil {
@@ -114,51 +96,29 @@ func (sk sketch) estimate() float64 {
 }
 
 // Stats is a point-in-time statistical snapshot of one relation: its
-// cardinality, shard layout (row counts per shard, for skew observability)
-// and the approximate number of distinct values per column. Distinct
-// estimates are clamped to [1, Rows] for non-empty relations: the sketch's
-// small relative error can otherwise exceed the true cardinality, and the
-// planner divides by these values.
+// cardinality and the approximate number of distinct values per column.
+// Distinct estimates are clamped to [1, Rows] for non-empty relations: the
+// sketch's small relative error can otherwise exceed the true cardinality,
+// and the planner divides by these values.
 type Stats struct {
 	// Rows is the relation's cardinality (Len).
 	Rows int
-	// Shards is the relation's shard count.
-	Shards int
-	// ShardRows holds the per-shard tuple counts (sums to Rows when
-	// quiesced); heavily skewed first-column keys show up here.
-	ShardRows []int
 	// Distinct holds the approximate distinct-value count per column.
 	Distinct []float64
 }
 
-// Stats returns the relation's current statistics, merging the per-shard
-// distinct-value sketches. It is safe for concurrent use; under concurrent
-// inserts the snapshot is per shard, not atomic across shards.
+// Stats returns the relation's current statistics. It is safe for
+// concurrent use.
 func (r *Relation) Stats() Stats {
-	st := Stats{
-		Shards:    len(r.shards),
-		ShardRows: make([]int, len(r.shards)),
-		Distinct:  make([]float64, r.arity),
+	r.mu.Lock()
+	st := Stats{Rows: len(r.tuples), Distinct: make([]float64, r.arity)}
+	for c := range r.distinct {
+		st.Distinct[c] = r.distinct[c].estimate()
 	}
-	merged := make([]sketch, r.arity)
-	for i, s := range r.shards {
-		s.mu.Lock()
-		st.ShardRows[i] = len(s.tuples)
-		st.Rows += len(s.tuples)
-		for c := range s.distinct {
-			merged[c].merge(s.distinct[c])
-		}
-		s.mu.Unlock()
-	}
-	for c := range merged {
-		d := merged[c].estimate()
+	r.mu.Unlock()
+	for c, d := range st.Distinct {
 		if st.Rows > 0 {
-			if d > float64(st.Rows) {
-				d = float64(st.Rows)
-			}
-			if d < 1 {
-				d = 1
-			}
+			d = min(max(d, 1), float64(st.Rows))
 		}
 		st.Distinct[c] = d
 	}

@@ -12,7 +12,7 @@ import (
 // scale — and must be clamped to [1, Rows].
 func TestStatsSketchAccuracy(t *testing.T) {
 	const rows = 50000
-	r := NewRelationSharded("R", 3, 4)
+	r := NewRelation("R", 3)
 	for i := 0; i < rows; i++ {
 		r.Insert(Tuple{
 			fmt.Sprintf("id%d", i),    // all distinct
@@ -21,7 +21,7 @@ func TestStatsSketchAccuracy(t *testing.T) {
 		})
 	}
 	st := r.Stats()
-	if st.Rows != rows || st.Shards != 4 || len(st.Distinct) != 3 {
+	if st.Rows != rows || len(st.Distinct) != 3 {
 		t.Fatalf("Stats = %+v", st)
 	}
 	checks := []struct {
@@ -47,11 +47,11 @@ func TestStatsSketchAccuracy(t *testing.T) {
 }
 
 // TestStatsDeterministicAcrossLayouts: the estimate depends only on the
-// value set — same data, different shard counts and insert orders, same
-// numbers (registers merge by max, so layout cannot leak in).
+// value set — same data, different insert orders, same numbers (register
+// updates are max operations, so order cannot leak in).
 func TestStatsDeterministicAcrossLayouts(t *testing.T) {
-	build := func(n int, reversed bool) Stats {
-		r := NewRelationSharded("R", 2, n)
+	build := func(reversed bool) Stats {
+		r := NewRelation("R", 2)
 		for i := 0; i < 5000; i++ {
 			j := i
 			if reversed {
@@ -61,11 +61,11 @@ func TestStatsDeterministicAcrossLayouts(t *testing.T) {
 		}
 		return r.Stats()
 	}
-	a, b, c := build(1, false), build(8, false), build(8, true)
+	a, b := build(false), build(true)
 	for col := 0; col < 2; col++ {
-		if a.Distinct[col] != b.Distinct[col] || b.Distinct[col] != c.Distinct[col] {
-			t.Fatalf("col %d estimates differ across layouts: %v %v %v",
-				col, a.Distinct[col], b.Distinct[col], c.Distinct[col])
+		if a.Distinct[col] != b.Distinct[col] {
+			t.Fatalf("col %d estimates differ across insert orders: %v %v",
+				col, a.Distinct[col], b.Distinct[col])
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestStatsDeterministicAcrossLayouts(t *testing.T) {
 // TestStatsEmptyAndSmall: empty relations report zero; tiny cardinalities
 // are exact (linear counting with almost all registers empty).
 func TestStatsEmptyAndSmall(t *testing.T) {
-	r := NewRelationSharded("R", 2, 2)
+	r := NewRelation("R", 2)
 	st := r.Stats()
 	if st.Rows != 0 || st.Distinct[0] != 0 || st.Distinct[1] != 0 {
 		t.Fatalf("empty Stats = %+v", st)
@@ -90,31 +90,12 @@ func TestStatsEmptyAndSmall(t *testing.T) {
 // TestStatsDuplicatesIgnored: reinserting existing tuples moves nothing
 // (set semantics reach the sketches too).
 func TestStatsDuplicatesIgnored(t *testing.T) {
-	r := NewRelationSharded("R", 1, 2)
+	r := NewRelation("R", 1)
 	for i := 0; i < 100; i++ {
 		r.Insert(Tuple{fmt.Sprintf("v%d", i%10)})
 	}
 	st := r.Stats()
 	if st.Rows != 10 || math.Round(st.Distinct[0]) != 10 {
 		t.Fatalf("Stats = %+v, want 10 rows / 10 distinct", st)
-	}
-}
-
-// TestSketchMergeSubsumes: merging sketches equals sketching the union.
-func TestSketchMergeSubsumes(t *testing.T) {
-	var a, b, u sketch
-	for i := 0; i < 3000; i++ {
-		h := fnv64a(fmt.Sprintf("a%d", i))
-		a.add(h)
-		u.add(h)
-	}
-	for i := 0; i < 3000; i++ {
-		h := fnv64a(fmt.Sprintf("b%d", i))
-		b.add(h)
-		u.add(h)
-	}
-	a.merge(b)
-	if a.estimate() != u.estimate() {
-		t.Fatalf("merged estimate %.2f != union estimate %.2f", a.estimate(), u.estimate())
 	}
 }

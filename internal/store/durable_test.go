@@ -1,38 +1,31 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
 )
 
-// relsEqual asserts b is bit-identical to a: same tuples, same per-shard
-// log order, same per-shard generations, same statistics snapshots.
+// relsEqual asserts b is bit-identical to a: same tuples, same log order,
+// same generation, same statistics snapshot.
 func relsEqual(t *testing.T, a, b *rel.Relation) {
 	t.Helper()
-	if a.Name() != b.Name() || a.Arity() != b.Arity() || a.NumShards() != b.NumShards() {
-		t.Fatalf("shape mismatch: %s/%d x%d vs %s/%d x%d",
-			a.Name(), a.Arity(), a.NumShards(), b.Name(), b.Arity(), b.NumShards())
+	if a.Name() != b.Name() || a.Arity() != b.Arity() {
+		t.Fatalf("shape mismatch: %s/%d vs %s/%d", a.Name(), a.Arity(), b.Name(), b.Arity())
 	}
-	for s := 0; s < a.NumShards(); s++ {
-		if a.ShardVersion(s) != b.ShardVersion(s) {
-			t.Fatalf("%s shard %d: generation %d vs %d", a.Name(), s, a.ShardVersion(s), b.ShardVersion(s))
-		}
-		al, bl := a.ShardAddedSince(s, 0), b.ShardAddedSince(s, 0)
-		if len(al) != len(bl) {
-			t.Fatalf("%s shard %d: log length %d vs %d", a.Name(), s, len(al), len(bl))
-		}
-		for i := range al {
-			if !al[i].Equal(bl[i]) {
-				t.Fatalf("%s shard %d log[%d]: %v vs %v", a.Name(), s, i, al[i], bl[i])
-			}
-		}
+	if a.Version() != b.Version() {
+		t.Fatalf("%s: generation %d vs %d", a.Name(), a.Version(), b.Version())
+	}
+	if al, bl := a.AddedSince(0), b.AddedSince(0); !reflect.DeepEqual(al, bl) {
+		t.Fatalf("%s: logs differ:\n%v\nvs\n%v", a.Name(), al, bl)
 	}
 	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
 		t.Fatalf("%s: stats diverged:\n%+v\nvs\n%+v", a.Name(), a.Stats(), b.Stats())
@@ -52,12 +45,12 @@ func insEqual(t *testing.T, a, b *rel.Instance) {
 	}
 }
 
-// fill inserts deterministic pseudo-random tuples and returns the per-
-// (pred, shard) insert ledger — the shadow the monotone envelope is checked
+// fill inserts deterministic pseudo-random tuples and returns the
+// per-relation insert ledger — the shadow the monotone envelope is checked
 // against.
-func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][]rel.Tuple {
+func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][]rel.Tuple {
 	t.Helper()
-	shadow := map[string][][]rel.Tuple{}
+	shadow := map[string][]rel.Tuple{}
 	preds := []struct {
 		name  string
 		arity int
@@ -73,15 +66,7 @@ func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][
 			t.Fatalf("add: %v", err)
 		}
 		if added {
-			r := ins.Relation(p.name)
-			s := 0
-			if len(tup) > 0 {
-				s = r.ShardFor(tup[0])
-			}
-			if shadow[p.name] == nil {
-				shadow[p.name] = make([][]rel.Tuple, r.NumShards())
-			}
-			shadow[p.name][s] = append(shadow[p.name][s], tup)
+			shadow[p.name] = append(shadow[p.name], tup)
 		}
 	}
 	return shadow
@@ -89,12 +74,12 @@ func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	// A tiny rotation threshold forces several segments per shard.
+	// A tiny rotation threshold forces several segments per relation.
 	d, err := Open(dir, Options{MaxSegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ins, recs, err := d.Recover(4)
+	ins, recs, err := d.Recover(0)
 	if err != nil {
 		t.Fatalf("recover empty: %v", err)
 	}
@@ -112,7 +97,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	got, recs, err := d2.Recover(4)
+	got, recs, err := d2.Recover(0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -142,18 +127,18 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen 2: %v", err)
 	}
-	got3, _, err := d3.Recover(4)
+	got3, _, err := d3.Recover(0)
 	if err != nil {
 		t.Fatalf("recover 2: %v", err)
 	}
 	insEqual(t, got, got3)
 }
 
-// shardSegments returns the segment paths of one relation shard in
-// generation order.
-func shardSegments(t *testing.T, root, pred string, shard int) []string {
+// relSegments returns the segment paths of one relation in generation
+// order.
+func relSegments(t *testing.T, root, pred string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(root, escapeRel(pred), fmt.Sprintf("s%d-*.seg", shard)))
+	paths, err := filepath.Glob(filepath.Join(root, escapeRel(pred), "s0-*.seg"))
 	if err != nil {
 		t.Fatalf("glob: %v", err)
 	}
@@ -162,9 +147,9 @@ func shardSegments(t *testing.T, root, pred string, shard int) []string {
 }
 
 // TestCrashRecoveryMonotoneEnvelope simulates crashes at randomized points:
-// the journal is flushed after every insert, then the victim shard's final
-// segment is truncated at an arbitrary byte offset. The recovered relation
-// must be a per-shard prefix of the shadow ledger — nothing fabricated,
+// the journal is flushed after every insert, then the victim relation's
+// final segment is truncated at an arbitrary byte offset. The recovered
+// relation must be a prefix of the shadow ledger — nothing fabricated,
 // nothing reordered, no torn tuple resurrected — and recovery must be
 // idempotent.
 func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
@@ -177,7 +162,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			ins, _, err := d.Recover(3)
+			ins, _, err := d.Recover(0)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -191,11 +176,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			}
 			preds := ins.Relations()
 			pred := preds[rng.Intn(len(preds))]
-			victim := rng.Intn(ins.Relation(pred).NumShards())
-			segs := shardSegments(t, dir, pred, victim)
-			if len(segs) == 0 {
-				t.Skip("victim shard wrote no segments")
-			}
+			segs := relSegments(t, dir, pred)
 			last := segs[len(segs)-1]
 			fi, err := os.Stat(last)
 			if err != nil {
@@ -210,7 +191,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			got, _, err := d2.Recover(3)
+			got, _, err := d2.Recover(0)
 			if err != nil {
 				t.Fatalf("recover after crash: %v", err)
 			}
@@ -221,25 +202,21 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 					// segment whose header was cut.
 					continue
 				}
-				for s := 0; s < gr.NumShards(); s++ {
-					want := shadow[p][s]
-					gl := gr.ShardAddedSince(s, 0)
-					if len(gl) > len(want) {
-						t.Fatalf("%s shard %d: recovered %d tuples, ledger has %d", p, s, len(gl), len(want))
+				want := shadow[p]
+				gl := gr.AddedSince(0)
+				if len(gl) > len(want) {
+					t.Fatalf("%s: recovered %d tuples, ledger has %d", p, len(gl), len(want))
+				}
+				if p != pred && len(gl) != len(want) {
+					t.Fatalf("%s: lost %d tuples outside the crashed relation", p, len(want)-len(gl))
+				}
+				for i := range gl {
+					if !gl[i].Equal(want[i]) {
+						t.Fatalf("%s log[%d]: %v, ledger %v (prefix violated)", p, i, gl[i], want[i])
 					}
-					if p != pred || s != victim {
-						if len(gl) != len(want) {
-							t.Fatalf("%s shard %d: lost %d tuples outside the crashed shard", p, s, len(want)-len(gl))
-						}
-					}
-					for i := range gl {
-						if !gl[i].Equal(want[i]) {
-							t.Fatalf("%s shard %d log[%d]: %v, ledger %v (prefix violated)", p, s, i, gl[i], want[i])
-						}
-					}
-					if gr.ShardVersion(s) != uint64(len(gl)) {
-						t.Fatalf("%s shard %d: generation %d, log %d", p, s, gr.ShardVersion(s), len(gl))
-					}
+				}
+				if gr.Version() != uint64(len(gl)) {
+					t.Fatalf("%s: generation %d, log %d", p, gr.Version(), len(gl))
 				}
 			}
 			// Idempotence: recovering the (now truncated) journal again
@@ -248,7 +225,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen 2: %v", err)
 			}
-			got2, _, err := d3.Recover(3)
+			got2, _, err := d3.Recover(0)
 			if err != nil {
 				t.Fatalf("re-recover: %v", err)
 			}
@@ -263,7 +240,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ins, _, err := d.Recover(1)
+	ins, _, err := d.Recover(0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -274,7 +251,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	segs := shardSegments(t, dir, "edge", 0)
+	segs := relSegments(t, dir, "edge")
 	if len(segs) < 2 {
 		t.Fatalf("want >= 2 segments, got %d", len(segs))
 	}
@@ -293,7 +270,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if _, _, err := d2.Recover(1); err == nil {
+	if _, _, err := d2.Recover(0); err == nil {
 		t.Fatalf("recovery accepted mid-journal corruption")
 	}
 }
@@ -306,7 +283,7 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 	// Attach an instance that already holds un-journaled data: the next
 	// insert must fail loudly instead of writing a gapped journal.
-	ins := rel.NewInstanceSharded(1)
+	ins := rel.NewInstance()
 	ins.MustAdd("edge", "a", "b")
 	d.Attach(ins)
 	if _, err := ins.Add("edge", rel.Tuple{"c", "d"}); err == nil {
@@ -314,5 +291,84 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Fatalf("journal gap did not mark the Dir failed")
+	}
+}
+
+// writeSegment writes a segment file with header h and the given tuples
+// into pred's directory under root.
+func writeSegment(t *testing.T, root, pred, name string, h segHeader, tuples ...rel.Tuple) {
+	t.Helper()
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := appendFrame(nil, hdr)
+	for _, tu := range tuples {
+		p, err := encodeTuple(tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = appendFrame(data, p)
+	}
+	dir := filepath.Join(root, escapeRel(pred))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRejectsMultiShardJournal: a journal written with more than one
+// shard (one segment sequence per shard, each with its own generations)
+// must fail recovery with an error naming the relation and the recorded
+// shard count, never replay into one log with wrong generations. The
+// tuples route to the shard their segment names under two-way first-column
+// hashing, so the journal is otherwise well formed.
+func TestRecoverRejectsMultiShardJournal(t *testing.T) {
+	// Under two-way first-column hashing "a" routes to shard 0, "b" to 1.
+	first := []string{"a", "b"}
+	for name, shards := range map[string][]int{"both shards": {0, 1}, "shard 1 only": {1}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, i := range shards {
+				h := segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: i, Shards: 2}
+				writeSegment(t, dir, "edge", fmt.Sprintf("s%d-%016d.seg", i, 0), h, rel.Tuple{first[i], "x"})
+			}
+			d, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = d.Recover(0)
+			if err == nil {
+				t.Fatal("recovery replayed a 2-shard journal")
+			}
+			for _, want := range []string{"edge", "2-shard"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverRejectsHeaderNameMismatch: a segment whose header disagrees
+// with its file name (relation or starting generation) is rejected.
+func TestRecoverRejectsHeaderNameMismatch(t *testing.T) {
+	for name, h := range map[string]segHeader{
+		"relation":   {Magic: segMagic, Rel: "other", Arity: 2, Shards: 1},
+		"generation": {Magic: segMagic, Rel: "edge", Arity: 2, Shards: 1, GenLo: 5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeSegment(t, dir, "edge", segFileName(0), h, rel.Tuple{"a", "x"})
+			d, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := d.Recover(0); err == nil || !strings.Contains(err.Error(), "disagrees with its name") {
+				t.Fatalf("Recover = %v, want a header/name mismatch error", err)
+			}
+		})
 	}
 }

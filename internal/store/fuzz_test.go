@@ -9,8 +9,7 @@ import (
 	"repro/internal/rel"
 )
 
-// validSegmentBytes builds a well-formed single-shard segment for seeding the
-// fuzzer.
+// validSegmentBytes builds a well-formed segment for seeding the fuzzer.
 func validSegmentBytes(tuples ...rel.Tuple) []byte {
 	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: 0, Shards: 1, GenLo: 0})
 	out := appendFrame(nil, hdr)
@@ -22,7 +21,7 @@ func validSegmentBytes(tuples ...rel.Tuple) []byte {
 }
 
 // FuzzSegmentReplay feeds arbitrary bytes to recovery as the content of a
-// shard's only (and therefore final) segment. Whatever the bytes — truncated
+// relation's only (and therefore final) segment. Whatever the bytes — truncated
 // tails, garbled frames, duplicated tuples, hostile headers — recovery must
 // either succeed or fail cleanly: no panic, and on success a second recovery
 // of the (post-truncation) directory must reproduce the identical instance,
@@ -42,14 +41,14 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.MkdirAll(segDir, 0o755); err != nil {
 			t.Fatalf("mkdir: %v", err)
 		}
-		if err := os.WriteFile(filepath.Join(segDir, segFileName(0, 0)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(segDir, segFileName(0)), data, 0o644); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		d, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		ins, recs, err := d.Recover(1)
+		ins, recs, err := d.Recover(0)
 		if err != nil {
 			return // clean rejection is a valid outcome
 		}
@@ -68,7 +67,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		ins2, _, err := d2.Recover(1)
+		ins2, _, err := d2.Recover(0)
 		if err != nil {
 			t.Fatalf("recovery accepted the journal once but not twice: %v", err)
 		}
@@ -76,11 +75,8 @@ func FuzzSegmentReplay(f *testing.F) {
 			t.Fatalf("re-recovery diverged:\n%s\nvs\n%s", ins, ins2)
 		}
 		for _, pred := range ins.Relations() {
-			a, b := ins.Relation(pred), ins2.Relation(pred)
-			for s := 0; s < a.NumShards(); s++ {
-				if a.ShardVersion(s) != b.ShardVersion(s) {
-					t.Fatalf("%s shard %d generation diverged on re-recovery", pred, s)
-				}
+			if ins.Gen(pred) != ins2.Gen(pred) {
+				t.Fatalf("%s generation diverged on re-recovery", pred)
 			}
 		}
 	})

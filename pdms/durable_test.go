@@ -17,7 +17,7 @@ fact FH.doc("d2", "icu")
 // queries over the recovered instance answer identically.
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Shards: 4}
+	opts := Options{DataDir: dir}
 	n, err := LoadWithOptions(durableSpec, opts)
 	if err != nil {
 		t.Fatal(err)

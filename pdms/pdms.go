@@ -116,11 +116,6 @@ type Options struct {
 	DisableSubsumePruning bool
 	// KeepRedundant keeps rewritings subsumed by others.
 	KeepRedundant bool
-	// Shards is the hash-partition count for stored relations (0 = one
-	// shard per CPU, rel.DefaultShards; 1 = the unsharded layout). Sharded
-	// relations let the engine fan scans and probes out across a bounded
-	// worker pool; answers are identical for every setting.
-	Shards int
 	// DataDir makes stored relations durable: inserts are journaled to
 	// append-only segment files under this directory (internal/store) and
 	// construction replays existing segments into a bit-identical instance
@@ -150,7 +145,7 @@ func New(opts Options) *Network {
 	if opts.DataDir != "" {
 		panic("pdms: use Open for durable networks (New cannot report replay errors)")
 	}
-	return newNetwork(ppl.New(), rel.NewInstanceSharded(opts.Shards), opts)
+	return newNetwork(ppl.New(), rel.NewInstance(), opts)
 }
 
 // Open returns an empty-spec network whose stored relations are durable
@@ -178,7 +173,7 @@ func openDurable(opts Options) (*rel.Instance, *store.Dir, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data, _, err := dstore.Recover(opts.Shards)
+	data, _, err := dstore.Recover(0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,11 +211,6 @@ func LoadWithOptions(src string, opts Options) (*Network, error) {
 			}
 		}
 		data, dstore = recovered, ds
-	} else if opts.Shards > 0 && opts.Shards != rel.DefaultShards() {
-		// The parser loads into a default-sharded instance; repartition
-		// only when the caller asked for a different layout (a one-time
-		// O(rows) load cost, pointless when the counts already match).
-		data = rel.Reshard(data, opts.Shards)
 	}
 	n := newNetwork(res.PDMS, data, opts)
 	n.dstore = dstore
