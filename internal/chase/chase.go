@@ -25,7 +25,7 @@ package chase
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
@@ -252,5 +252,5 @@ func Nulls(inst *rel.Instance) int {
 
 // SortTuples sorts tuples lexicographically (helper for test comparisons).
 func SortTuples(ts []rel.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
+	slices.SortFunc(ts, rel.Compare)
 }

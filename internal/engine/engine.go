@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,8 +192,12 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 // grown, then looks the key up. kb is a reusable key buffer. The result is
 // a shared index bucket and must not be mutated.
 func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte) []rel.Tuple {
-	key := appendProbeKey((*kb)[:0], vals)
-	*kb = key
+	*kb = appendProbeKey((*kb)[:0], vals)
+	return e.probeKey(r, cols, *kb)
+}
+
+// probeKey is probe for a key already assembled by appendProbeKey.
+func (e *Engine) probeKey(r *rel.Relation, cols []int, key []byte) []rel.Tuple {
 	idx := e.getIndex(r, cols)
 	idx.mu.RLock()
 	if idx.consumed == r.Version() {
@@ -216,10 +220,12 @@ func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte) [
 // ProbeByKeyBatchYield invokes yield once per distinct tuple of pred whose
 // projection onto cols equals one of keys, building (or incrementally
 // catching up) the same lazy hash indexes that regular probe steps use.
-// Every key must supply len(cols) values. Tuples stream out as
-// the keys are probed — nothing beyond the dedup set is materialized —
-// which is the server-side substrate for netpeer's chunked bind responses.
-// Tuples come out key by key, each key's matches in insertion order.
+// Every key must supply len(cols) values. A tuple has exactly one
+// projection onto cols, so distinct keys match disjoint tuple sets:
+// skipping a repeated key is all the deduplication the stream needs, and
+// no per-row set is kept. Tuples stream out as the keys are probed — the
+// server-side substrate for netpeer's chunked bind responses — key by key
+// in first-occurrence order, each key's matches in insertion order.
 // Returning ErrStop from yield ends the stream without error.
 func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, yield func(rel.Tuple) error) error {
 	if len(cols) == 0 {
@@ -239,19 +245,21 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 			return fmt.Errorf("engine: ProbeByKeyBatch key %v has %d values, want %d", key, len(key), len(cols))
 		}
 	}
-	seen := map[string]bool{}
+	probed := make(map[string]struct{}, len(keys))
 	var kb []byte
 	for _, key := range keys {
+		kb = appendProbeKey(kb[:0], key)
+		if _, dup := probed[string(kb)]; dup {
+			continue
+		}
+		probed[string(kb)] = struct{}{}
 		e.probes.Add(1)
-		for _, t := range e.probe(r, cols, key, &kb) {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				if err := yield(t); err != nil {
-					if errors.Is(err, ErrStop) {
-						return nil
-					}
-					return err
+		for _, t := range e.probeKey(r, cols, kb) {
+			if err := yield(t); err != nil {
+				if errors.Is(err, ErrStop) {
+					return nil
 				}
+				return err
 			}
 		}
 	}
@@ -355,8 +363,21 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 }
 
 // EvalCQ evaluates a conjunctive query with set semantics and returns the
-// distinct head tuples, sorted — the indexed equivalent of rel.EvalCQ.
+// distinct head tuples, sorted by rel.Compare — the indexed equivalent of
+// rel.EvalCQ.
 func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
+	out, err := e.collectCQ(q)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(out, rel.Compare)
+	return out, nil
+}
+
+// collectCQ materializes StreamCQ: q's distinct head tuples in discovery
+// order. UCQ evaluation collects each disjunct this way and sorts once, at
+// the union.
+func (e *Engine) collectCQ(q lang.CQ) ([]rel.Tuple, error) {
 	var out []rel.Tuple
 	if err := e.StreamCQ(q, func(t rel.Tuple) error {
 		out = append(out, t)
@@ -364,7 +385,6 @@ func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out, nil
 }
 
@@ -375,9 +395,11 @@ const maxUCQFanout = 8
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
 // union of the disjuncts' answers, sorted — the indexed equivalent of
-// rel.EvalUCQ. Disjuncts are independent and concurrent evaluations are
-// safe with each other, so they fan out over a bounded worker pool; on
-// error the first failing disjunct (by position) wins.
+// rel.EvalUCQ. Each disjunct is collected unsorted; the union
+// (rel.DistinctSorted) is the one dedup and the one sort. Disjuncts are
+// independent and concurrent evaluations are safe with each other, so they
+// fan out over a bounded worker pool; on error the first failing disjunct
+// (by position) wins.
 func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -386,7 +408,7 @@ func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
 	groups := make([][]rel.Tuple, n)
 	if n <= 1 {
 		for i, q := range u.Disjuncts {
-			rows, err := e.EvalCQ(q)
+			rows, err := e.collectCQ(q)
 			if err != nil {
 				return nil, err
 			}
@@ -402,7 +424,7 @@ func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				groups[i], errs[i] = e.EvalCQ(u.Disjuncts[i])
+				groups[i], errs[i] = e.collectCQ(u.Disjuncts[i])
 			}
 		}()
 	}

@@ -279,6 +279,42 @@ func TestProbeByKeyBatchYield(t *testing.T) {
 	}
 }
 
+// TestProbeByKeyBatchYieldRepeatedKeys: a key repeated within one batch —
+// single- or multi-column — is probed once, so each matching tuple is
+// yielded exactly once and the probe counter counts distinct keys.
+func TestProbeByKeyBatchYieldRepeatedKeys(t *testing.T) {
+	ins := rel.NewInstance()
+	ins.MustAdd("R", "k1", "a", "x")
+	ins.MustAdd("R", "k1", "b", "x")
+	ins.MustAdd("R", "k2", "a", "y")
+	for _, tc := range []struct {
+		cols   []int
+		keys   [][]string
+		want   []rel.Tuple
+		probes uint64
+	}{
+		{[]int{0}, [][]string{{"k1"}, {"k1"}, {"k2"}, {"k1"}},
+			[]rel.Tuple{{"k1", "a", "x"}, {"k1", "b", "x"}, {"k2", "a", "y"}}, 2},
+		{[]int{1, 2}, [][]string{{"a", "x"}, {"b", "x"}, {"a", "x"}, {"a", "y"}, {"b", "x"}},
+			[]rel.Tuple{{"k1", "a", "x"}, {"k1", "b", "x"}, {"k2", "a", "y"}}, 3},
+	} {
+		e := New(ins)
+		var got []rel.Tuple
+		if err := e.ProbeByKeyBatchYield("R", tc.cols, tc.keys, func(tu rel.Tuple) error {
+			got = append(got, tu)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("cols %v keys %v: yielded %v, want %v", tc.cols, tc.keys, got, tc.want)
+		}
+		if p := e.Stats().Probes; p != tc.probes {
+			t.Errorf("cols %v: %d probes for %d distinct keys", tc.cols, p, tc.probes)
+		}
+	}
+}
+
 // TestEnumerateAlphaEquivalentBodies is a regression test: two bodies that
 // are identical up to variable renaming must each get substitutions under
 // their OWN variable names, not the first-compiled plan's (the plan cache

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/lang"
@@ -52,8 +53,19 @@ func (p *Plan) describe() string {
 // with the distinct-row count). A nil span evaluates identically with no
 // overhead beyond the nil checks.
 func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+	rows, err := e.collectCQSpan(q, sp)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(rows, rel.Compare)
+	return rows, nil
+}
+
+// collectCQSpan is collectCQ with EvalCQSpan's tracing: the distinct head
+// tuples, unsorted.
+func (e *Engine) collectCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if sp == nil {
-		return e.EvalCQ(q)
+		return e.collectCQ(q)
 	}
 	ps := sp.Child("plan")
 	p, err := e.plan(q.Canonical(), q)
@@ -66,7 +78,7 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	ps.End()
 
 	es := sp.Child("exec")
-	rows, err := e.EvalCQ(q)
+	rows, err := e.collectCQ(q)
 	es.SetErr(err)
 	es.SetInt("rows", int64(len(rows)))
 	es.End()
@@ -75,7 +87,8 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 
 // EvalUCQSpan is EvalUCQ with tracing: one "eval.cq" child span per
 // disjunct (each holding its plan/exec sub-spans), created concurrently by
-// the disjunct worker pool. A nil span is exactly EvalUCQ.
+// the disjunct worker pool. As in EvalUCQ, disjuncts are collected unsorted
+// and the union sorts once. A nil span is exactly EvalUCQ.
 func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if sp == nil {
 		return e.EvalUCQ(u)
@@ -89,7 +102,7 @@ func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	errs := make([]error, len(u.Disjuncts))
 	runOne := func(i int) {
 		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-		groups[i], errs[i] = e.EvalCQSpan(u.Disjuncts[i], cs)
+		groups[i], errs[i] = e.collectCQSpan(u.Disjuncts[i], cs)
 		cs.End()
 	}
 	if n := len(u.Disjuncts); n <= 1 {

@@ -296,8 +296,10 @@ func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 }
 
 // EvalUCQ evaluates a union of conjunctive rewritings over the network,
-// returning the distinct union of the disjuncts' answers, sorted.
-// Disjuncts are independent, so they fan out over a pool of up to
+// returning the distinct union of the disjuncts' answers, sorted by
+// rel.Compare. Each disjunct's rows come back unsorted and possibly
+// repeated; the union (rel.DistinctSorted) is the one dedup and the one
+// sort. Disjuncts are independent, so they fan out over a pool of up to
 // maxFanout workers; on error the first failing disjunct (by position)
 // wins.
 func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
@@ -356,15 +358,21 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	return out, nil
 }
 
-// EvalCQ evaluates one conjunctive rewriting over the network.
+// EvalCQ evaluates one conjunctive rewriting over the network, returning
+// its distinct head tuples sorted by rel.Compare.
 func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
-	return e.evalCQ(q, nil)
+	rows, err := e.evalCQ(q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rel.DistinctSorted(rows), nil
 }
 
-// evalCQ is EvalCQ with an optional span: full push-down records one
-// "pushdown" child (the serving peer's remote spans adopt under it),
-// cross-peer execution hands the span to the bind-join's per-atom
-// instrumentation.
+// evalCQ is EvalCQ with an optional span and without the final sort: the
+// head tuples come back in arrival order and may repeat. Full push-down
+// records one "pushdown" child (the serving peer's remote spans adopt
+// under it), cross-peer execution hands the span to the bind-join's
+// per-atom instrumentation.
 func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	addrs := map[string]bool{}
 	e.mu.Lock()
@@ -392,9 +400,12 @@ func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 				c.traceSpan = ps
 				defer func() { c.traceSpan = nil }()
 			}
-			rs, err := c.Eval(q)
-			rows = rs
-			return err
+			// A retried attempt starts over: drop the failed one's rows.
+			rows = rows[:0]
+			return c.EvalStream(q, func(t rel.Tuple) error {
+				rows = append(rows, t)
+				return nil
+			})
 		})
 		ps.SetErr(err)
 		ps.SetInt("rows", int64(len(rows)))
@@ -634,7 +645,7 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 		}
 		out = append(out, h)
 	}
-	return rel.DistinctSorted(out), nil
+	return out, nil
 }
 
 // fetchFragment fetches atom a's fragment from its peer at addr — by

@@ -1321,7 +1321,8 @@ func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
 	return err
 }
 
-// Eval is EvalStream materialized and sorted (the head tuples, distinct).
+// Eval is EvalStream materialized: the distinct head tuples, sorted by
+// rel.Compare once the whole answer has arrived.
 func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
 	wq := wire.FromCQ(q)
 	resp, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq})

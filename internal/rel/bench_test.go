@@ -69,3 +69,31 @@ func BenchmarkEvalDatalogTransitiveClosure(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDistinctSorted is the UCQ union shaped like the join-scan
+// workload's answer merge: 144 disjunct groups of 30 two-column rows each,
+// in arrival (unsorted) order, neighbouring groups overlapping by 8 rows,
+// for 3168 distinct answers out of 4320 rows.
+func BenchmarkDistinctSorted(b *testing.B) {
+	const (
+		groups   = 144
+		perGroup = 30
+		stride   = 22
+	)
+	rng := rand.New(rand.NewSource(1))
+	gs := make([][]Tuple, groups)
+	for g := range gs {
+		for i := 0; i < perGroup; i++ {
+			n := (g*stride + i) % (groups * stride)
+			gs[g] = append(gs[g], Tuple{fmt.Sprintf("v%d", n/8), fmt.Sprintf("v%d", n)})
+		}
+		rng.Shuffle(len(gs[g]), func(i, j int) { gs[g][i], gs[g][j] = gs[g][j], gs[g][i] })
+	}
+	if n := len(DistinctSorted(gs...)); n != groups*stride {
+		b.Fatalf("distinct answers = %d, want %d", n, groups*stride)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		DistinctSorted(gs...)
+	}
+}

@@ -24,6 +24,22 @@
 // (AddedSince): tuples are never deleted, so that suffix is exactly what
 // the relation gained since.
 //
+// # Answer order and identity
+//
+// An answer is a set; order is only how it is presented. Compare is the
+// one canonical order: column by column, each value compared bytewise, a
+// proper prefix first. It allocates nothing, and for NUL-free values it
+// is the order of the values joined by NUL. DistinctSorted merges the
+// answer groups of a UCQ's disjuncts — concatenate, sort by Compare,
+// compact. On the query path (internal/engine, internal/netpeer) it is the
+// only sort: disjuncts hand it their rows unsorted.
+//
+// Tuple.Key is identity only, never order: the hash-set key behind set
+// semantics (Relation.Insert and Contains, head dedup in the evaluators).
+// It is injective for tuples of one arity — an in-value NUL is escaped, so
+// no value can forge the separator — and is never stored or sent, so its
+// encoding may change freely.
+//
 // # Statistics
 //
 // Each relation also maintains one small HyperLogLog sketch per column,

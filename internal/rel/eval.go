@@ -2,7 +2,7 @@ package rel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -35,7 +35,7 @@ func EvalCQ(q lang.CQ, ins *Instance) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, Compare)
 	return out, nil
 }
 

@@ -13,8 +13,41 @@ import (
 // Tuple is a row of constant values.
 type Tuple []string
 
-// Key returns a canonical map key for the tuple.
-func (t Tuple) Key() string { return strings.Join(t, "\x00") }
+// Key returns the tuple's identity as a map key: two tuples of one arity
+// share a Key exactly when they are Equal. A NUL inside a value is escaped
+// as NUL 0x01 and values are joined by NUL NUL, so no value can forge a
+// separator. Key carries identity only, never order: tuples are ordered by
+// Compare.
+func (t Tuple) Key() string {
+	n := 2 * len(t)
+	for _, v := range t {
+		n += len(v) + strings.Count(v, "\x00")
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, v := range t {
+		if i > 0 {
+			sb.WriteString("\x00\x00")
+		}
+		for {
+			j := strings.IndexByte(v, 0)
+			if j < 0 {
+				sb.WriteString(v)
+				break
+			}
+			sb.WriteString(v[:j+1])
+			sb.WriteByte(1)
+			v = v[j+1:]
+		}
+	}
+	return sb.String()
+}
+
+// Compare is the canonical answer order: column by column, each value
+// compared bytewise, a tuple that is a proper prefix of another sorting
+// first. It allocates nothing. For NUL-free values it is the order of the
+// values joined by NUL.
+func Compare(a, b Tuple) int { return slices.Compare(a, b) }
 
 // String renders the tuple as (v1, ..., vn).
 func (t Tuple) String() string { return "(" + strings.Join(t, ", ") + ")" }
@@ -187,27 +220,20 @@ func (r *Relation) Tuples() []Tuple {
 		return r.sorted
 	}
 	out := slices.Clone(r.AddedSince(0))
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, Compare)
 	r.sorted, r.sortedVer = out, v
 	return out
 }
 
 // DistinctSorted returns the distinct union of the given tuple groups in
-// canonical (Tuple.Key) order — the answer-set semantics every UCQ
-// evaluator shares.
+// canonical (Compare) order — the answer-set semantics every UCQ evaluator
+// shares. The groups need be neither sorted nor distinct, and are not
+// modified: they are concatenated into a fresh slice, sorted once and
+// compacted.
 func DistinctSorted(groups ...[]Tuple) []Tuple {
-	seen := map[string]bool{}
-	var out []Tuple
-	for _, g := range groups {
-		for _, t := range g {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	out := slices.Concat(groups...)
+	slices.SortFunc(out, Compare)
+	return slices.CompactFunc(out, Tuple.Equal)
 }
 
 // Instance maps predicate names to relations. The zero value is unusable;

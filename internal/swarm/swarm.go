@@ -27,7 +27,7 @@ package swarm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/rel"
@@ -261,6 +261,6 @@ func (s *Spec) OracleSource() string {
 // both query paths already return sorted distinct answers, but differential
 // tests should not depend on that.
 func SortAnswers(ts []rel.Tuple) []rel.Tuple {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
+	slices.SortFunc(ts, rel.Compare)
 	return ts
 }
