@@ -43,7 +43,8 @@
 // response), and cross-peer rewritings run as streaming, adaptive,
 // pipelined bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its hash indexes, so only
-// tuples that can join cross the wire. UCQ disjuncts fan out over a worker
-// pool on per-address connection pools with idle health checks;
+// tuples that can join cross the wire. UCQ disjuncts fan out over the
+// engine's worker pool (engine.EvalDisjuncts), multiplexed over
+// per-address connection pools with idle health checks;
 // pdms.Network.QueryVia plugs the mediator into that executor.
 package repro

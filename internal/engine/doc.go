@@ -26,18 +26,24 @@
 // the per-column distinct-value sketches rel maintains on insert
 // (rel.Stats) — a nearly-unique join column is recognized as sharply
 // selective while a low-distinct column no longer masquerades as such.
-// Callers without column statistics (the netpeer executor, which only sees
-// advertised cardinalities) use the uniform fallback OrderBody, the same
-// heuristic family with a fixed per-bound-argument discount. Estimates
+// A relation with a cardinality but no column statistics (a peer that
+// advertises none to the netpeer executor) gets a fixed
+// per-bound-argument discount instead. Estimates
 // affect ordering only, never correctness. Variable bindings live in a
 // flat slot array rather than substitution maps; comparison predicates are
 // attached to the earliest step that binds their variables, pruning as
 // soon as possible.
 //
 // Parallelism. One plan runs sequentially; concurrent evaluations run in
-// parallel with each other. EvalUCQ fans independent disjuncts over a
-// bounded worker pool, the same concurrency shape the distributed executor
-// uses.
+// parallel with each other. EvalDisjuncts fans a UCQ's independent
+// disjuncts over a bounded worker pool; it is the one UCQ fan-out, shared
+// by Engine.EvalUCQSpan and the distributed netpeer.Executor.
+//
+// Tracing. Evaluation has one path, traced or not: EvalUCQ is EvalUCQSpan
+// with a nil span. Under a live span each disjunct gets an eval.cq child
+// holding a plan child (the chosen step order) and an exec child (the row
+// count); the plan is looked up once either way, so the plan-cache
+// counters do not depend on whether a query was sampled.
 //
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical

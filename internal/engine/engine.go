@@ -10,25 +10,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
 // ErrStop is returned by an Enumerate yield callback to stop enumeration
 // early without error.
 var ErrStop = errors.New("engine: stop enumeration")
-
-// PlanCache caches an engine's compiled plans keyed by canonicalized
-// query. A plan fixes only the join order and probe shapes, never data, so
-// a cached plan stays sound as the instance grows.
-type PlanCache struct {
-	lru *LRU
-}
-
-// NewPlanCache returns a plan cache holding at most capacity plans.
-func NewPlanCache(capacity int) *PlanCache { return &PlanCache{lru: NewLRU(capacity)} }
-
-// Stats reports cumulative plan-cache hits and misses.
-func (pc *PlanCache) Stats() CacheStats { return pc.lru.Stats() }
 
 // Stats are cumulative engine counters (observability and tests).
 type Stats struct {
@@ -105,8 +93,11 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 // serialize them externally (pdms.Network, netpeer.Server). Indexes catch
 // up with inserts on the next probe.
 type Engine struct {
-	data  *rel.Instance
-	plans *PlanCache
+	data *rel.Instance
+	// plans caches compiled plans keyed by canonicalized query. A plan
+	// fixes only the join order and probe shapes, never data, so a cached
+	// plan stays sound as the instance grows.
+	plans *LRU
 
 	// uniformCost disables the distinct-value cost model, restoring the
 	// fixed per-bound-argument discount (benchmark baseline).
@@ -127,7 +118,7 @@ type Engine struct {
 
 // New returns an engine over ins with its own plan cache.
 func New(ins *rel.Instance) *Engine {
-	return &Engine{data: ins, plans: NewPlanCache(1024), indexes: map[string]map[string]*index{}}
+	return &Engine{data: ins, plans: NewLRU(1024), indexes: map[string]map[string]*index{}}
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -318,14 +309,14 @@ func colsKey(cols []int) string {
 // must key by the literal query instead, because its substitutions expose
 // the plan's variable names.
 func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
-	if v, ok := e.plans.lru.Get(key); ok {
+	if v, ok := e.plans.Get(key); ok {
 		return v.(*Plan), nil
 	}
 	p, err := e.compile(q, -1)
 	if err != nil {
 		return nil, err
 	}
-	e.plans.lru.Put(key, p)
+	e.plans.Put(key, p)
 	return p, nil
 }
 
@@ -340,8 +331,14 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	if err != nil {
 		return err
 	}
+	return e.streamPlan(p, yield)
+}
+
+// streamPlan runs a compiled CQ plan, yielding each distinct head tuple
+// once, in discovery order (see StreamCQ).
+func (e *Engine) streamPlan(p *Plan, yield func(rel.Tuple) error) error {
 	seen := map[string]bool{}
-	err = e.run(p, nil, func(slots []string) error {
+	err := e.run(p, nil, func(slots []string) error {
 		head := make(rel.Tuple, len(p.head))
 		for i, h := range p.head {
 			if h.slot >= 0 {
@@ -366,7 +363,7 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 // distinct head tuples, sorted by rel.Compare — the indexed equivalent of
 // rel.EvalCQ.
 func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
-	out, err := e.collectCQ(q)
+	out, err := e.collectCQ(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -374,71 +371,109 @@ func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 	return out, nil
 }
 
-// collectCQ materializes StreamCQ: q's distinct head tuples in discovery
-// order. UCQ evaluation collects each disjunct this way and sorts once, at
-// the union.
-func (e *Engine) collectCQ(q lang.CQ) ([]rel.Tuple, error) {
+// collectCQ materializes q's distinct head tuples in discovery order. UCQ
+// evaluation collects each disjunct this way and sorts once, at the union.
+// The plan is looked up exactly once, traced or not; under a non-nil sp a
+// "plan" child covers the lookup (annotated with the chosen step order)
+// and an "exec" child covers the run (annotated with the row count).
+func (e *Engine) collectCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+	ps := sp.Child("plan")
+	p, err := e.plan(q.Canonical(), q)
+	if err != nil {
+		ps.SetErr(err)
+		ps.End()
+		return nil, err
+	}
+	if ps != nil {
+		ps.Set("steps", p.describe())
+	}
+	ps.End()
+
+	es := sp.Child("exec")
 	var out []rel.Tuple
-	if err := e.StreamCQ(q, func(t rel.Tuple) error {
+	err = e.streamPlan(p, func(t rel.Tuple) error {
 		out = append(out, t)
 		return nil
-	}); err != nil {
+	})
+	es.SetErr(err)
+	es.SetInt("rows", int64(len(out)))
+	es.End()
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// maxUCQFanout caps the worker pool evaluating UCQ disjuncts concurrently
-// (mirrors the netpeer executor's fan-out, so local and distributed UCQ
-// evaluation share the same concurrency shape).
-const maxUCQFanout = 8
+// disjunctWorkers caps the goroutines EvalDisjuncts fans one UCQ's
+// disjuncts over.
+const disjunctWorkers = 8
 
-// EvalUCQ evaluates a union of conjunctive queries, returning the distinct
-// union of the disjuncts' answers, sorted — the indexed equivalent of
-// rel.EvalUCQ. Each disjunct is collected unsorted; the union
-// (rel.DistinctSorted) is the one dedup and the one sort. Disjuncts are
-// independent and concurrent evaluations are safe with each other, so they
-// fan out over a bounded worker pool; on error the first failing disjunct
-// (by position) wins.
-func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
+// EvalDisjuncts is the one UCQ fan-out, shared by the local engine and the
+// distributed executor (netpeer.Executor), traced or not. It validates u,
+// evaluates every disjunct through evalCQ under its own "eval.cq" child of
+// sp — up to disjunctWorkers at once, since disjuncts are independent —
+// and returns the distinct union sorted by rel.Compare: rel.DistinctSorted
+// is the one dedup and the one sort, so evalCQ may return its rows
+// unsorted and repeated. On error the first failing disjunct (by position)
+// wins, and each error lands on its disjunct's span. A nil sp means
+// untraced; every span call is then a free no-op.
+func EvalDisjuncts(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
+		sp.SetErr(err)
 		return nil, err
 	}
 	n := len(u.Disjuncts)
+	sp.SetInt("disjuncts", int64(n))
 	groups := make([][]rel.Tuple, n)
-	if n <= 1 {
-		for i, q := range u.Disjuncts {
-			rows, err := e.collectCQ(q)
-			if err != nil {
-				return nil, err
-			}
-			groups[i] = rows
-		}
-		return rel.DistinctSorted(groups...), nil
-	}
 	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(n, maxUCQFanout); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				groups[i], errs[i] = e.collectCQ(u.Disjuncts[i])
-			}
-		}()
+	runOne := func(i int) {
+		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
+		groups[i], errs[i] = evalCQ(u.Disjuncts[i], cs)
+		cs.SetErr(errs[i])
+		cs.End()
 	}
-	for i := range u.Disjuncts {
-		idx <- i
+	if n == 1 {
+		runOne(0)
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		for range min(n, disjunctWorkers) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					runOne(i)
+				}
+			}()
+		}
+		for i := range n {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
 	}
-	close(idx)
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return rel.DistinctSorted(groups...), nil
+	out := rel.DistinctSorted(groups...)
+	sp.SetInt("rows", int64(len(out)))
+	return out, nil
+}
+
+// EvalUCQ evaluates a union of conjunctive queries, returning the distinct
+// union of the disjuncts' answers, sorted — the indexed equivalent of
+// rel.EvalUCQ. It is EvalUCQSpan untraced.
+func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
+	return e.EvalUCQSpan(u, nil)
+}
+
+// EvalUCQSpan evaluates u through EvalDisjuncts: one "eval.cq" child of sp
+// per disjunct, each holding that disjunct's plan/exec spans. A nil sp
+// evaluates identically, untraced.
+func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
+	return EvalDisjuncts(u, sp, e.collectCQ)
 }
 
 // Enumerate invokes yield once per substitution grounding every atom of

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/lang"
@@ -48,10 +49,11 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 }
 
-// TestEvalCQSpanTrace checks the traced path records plan and exec child
-// spans (the plan span annotated with the chosen step order) and returns
-// the same answer as the untraced path.
-func TestEvalCQSpanTrace(t *testing.T) {
+// TestOneDisjunctTrace checks the traced path of a single conjunctive
+// query (a one-disjunct UCQ) records plan and exec child spans (the plan
+// span annotated with the chosen step order) and returns the same answer
+// as the untraced path.
+func TestOneDisjunctTrace(t *testing.T) {
 	e := obsFixture(t)
 	q := lang.CQ{
 		Head: lang.NewAtom("q", lang.Var("x")),
@@ -60,14 +62,15 @@ func TestEvalCQSpanTrace(t *testing.T) {
 			lang.NewAtom("F", lang.Var("y")),
 		},
 	}
+	u := lang.UCQ{Disjuncts: []lang.CQ{q}}
 	tr := obs.NewTracer(2)
 	root := tr.ForceTrace("query")
-	traced, err := e.EvalCQSpan(q, root)
+	traced, err := e.EvalUCQSpan(u, root)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := e.EvalCQSpan(q, nil)
+	plain, err := e.EvalUCQSpan(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +91,47 @@ func TestEvalCQSpanTrace(t *testing.T) {
 	}
 	if es.AttrMap()["rows"] == "" {
 		t.Fatalf("exec span has no rows annotation:\n%s", root.Render())
+	}
+}
+
+// TestTracedAndUntracedCountAlike pins the single evaluation path: twin
+// engines over one instance, one evaluating traced and one untraced, must
+// end with identical engine and plan-cache counters — a sampled query
+// does no extra plan lookups.
+func TestTracedAndUntracedCountAlike(t *testing.T) {
+	traced, plain := obsFixture(t), obsFixture(t)
+	mkCQ := func(c string) lang.CQ {
+		return lang.CQ{
+			Head: lang.NewAtom("q", lang.Var("x")),
+			Body: []lang.Atom{
+				lang.NewAtom("E", lang.Var("x"), lang.Const(c)),
+				lang.NewAtom("F", lang.Const(c)),
+			},
+		}
+	}
+	u := lang.UCQ{Disjuncts: []lang.CQ{mkCQ("b1"), mkCQ("b2")}}
+	tr := obs.NewTracer(4)
+	const n = 3
+	for i := 0; i < n; i++ {
+		root := tr.ForceTrace("query")
+		a, err := traced.EvalUCQSpan(u, root)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := plain.EvalUCQSpan(u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("run %d: traced %v != untraced %v", i, a, b)
+		}
+	}
+	if a, b := traced.plans.Stats(), plain.plans.Stats(); a != b {
+		t.Fatalf("plan cache: traced %+v, untraced %+v", a, b)
+	}
+	if a, b := traced.Stats(), plain.Stats(); a != b {
+		t.Fatalf("engine stats: traced %+v, untraced %+v", a, b)
 	}
 }
 
@@ -145,5 +189,34 @@ func TestEvalUCQSpanTrace(t *testing.T) {
 	}
 	if traceErr.Error() != plainErr.Error() {
 		t.Fatalf("traced error %q != untraced %q", traceErr, plainErr)
+	}
+	if badRoot.AttrMap()["error"] != traceErr.Error() {
+		t.Fatalf("validation error not on the root span:\n%s", badRoot.Render())
+	}
+
+	// A disjunct that fails at evaluation (its atom's arity disagrees with
+	// the stored relation) fails the union, and its error lands on that
+	// disjunct's own eval.cq span, not on its healthy sibling's.
+	failing := lang.UCQ{Disjuncts: []lang.CQ{
+		mkCQ("a1"),
+		{Head: lang.NewAtom("q", lang.Var("y")), Body: []lang.Atom{lang.NewAtom("E", lang.Var("y"))}},
+	}}
+	failRoot := tr.ForceTrace("failing")
+	_, failErr := e.EvalUCQSpan(failing, failRoot)
+	failRoot.End()
+	if failErr == nil {
+		t.Fatal("arity-mismatched disjunct did not error")
+	}
+	var onSpan []string
+	for _, c := range failRoot.Children() {
+		if c.Name() == "eval.cq" {
+			onSpan = append(onSpan, c.AttrMap()["error"])
+		}
+	}
+	if len(onSpan) != 2 || (onSpan[0] == "") == (onSpan[1] == "") {
+		t.Fatalf("want exactly one errored eval.cq span, got errors %q:\n%s", onSpan, failRoot.Render())
+	}
+	if got := onSpan[0] + onSpan[1]; got != failErr.Error() {
+		t.Fatalf("eval.cq span error %q, want %q", got, failErr)
 	}
 }

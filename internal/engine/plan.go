@@ -169,17 +169,6 @@ func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats, forceP
 	return order
 }
 
-// OrderBody is OrderBodyStats with cardinalities only: every bound position
-// gets the uniform discount. Kept as the shared cost model for callers that
-// have no column statistics (netpeer's cross-peer executor only sees the
-// cardinalities peers advertise), so local and distributed join orders
-// follow the same heuristic family.
-func OrderBody(body []lang.Atom, cardOf func(pred string) int, forcePivot int) []int {
-	return OrderBodyStats(body, func(pred string) ColStats {
-		return ColStats{Card: cardOf(pred)}
-	}, forcePivot)
-}
-
 // compile builds a plan for q. forcePivot >= 0 pins body atom forcePivot as
 // the first step and marks it as a delta scan (datalog semi-naive); -1
 // orders all atoms greedily.
@@ -206,12 +195,11 @@ func (e *Engine) compile(q lang.CQ, forcePivot int) (*Plan, error) {
 		return s
 	}
 
-	var order []int
+	statsOf := e.colStats
 	if e.uniformCost {
-		order = OrderBody(q.Body, e.card, forcePivot)
-	} else {
-		order = OrderBodyStats(q.Body, e.colStats, forcePivot)
+		statsOf = func(pred string) ColStats { return ColStats{Card: e.card(pred)} }
 	}
+	order := OrderBodyStats(q.Body, statsOf, forcePivot)
 
 	// Lower each atom to a step.
 	boundSlots := map[string]bool{} // vars bound by *earlier* steps

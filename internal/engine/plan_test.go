@@ -28,14 +28,15 @@ func TestOrderBodyStatsSelectivity(t *testing.T) {
 	}
 	// The uniform model ties Fat and Lean on equal cardinality and falls
 	// back to body order, picking the exploding atom first.
-	uni := OrderBody(body, func(p string) int { return stats[p].Card }, -1)
+	uni := OrderBodyStats(body, func(p string) ColStats { return ColStats{Card: stats[p].Card} }, -1)
 	if uni[1] != 1 {
 		t.Fatalf("uniform order = %v, want Fat (1) second — the blind spot stats fix", uni)
 	}
 }
 
-// TestOrderBodyUniformUnchanged: OrderBody (the cards-only wrapper the
-// distributed executor uses) must reproduce the legacy discount ordering.
+// TestOrderBodyUniformUnchanged: OrderBodyStats with cardinalities only
+// (no column statistics, as from a peer that advertises none) must
+// reproduce the legacy uniform-discount ordering.
 func TestOrderBodyUniformUnchanged(t *testing.T) {
 	body := []lang.Atom{
 		lang.NewAtom("Big", lang.Var("x"), lang.Var("y")),
@@ -43,7 +44,7 @@ func TestOrderBodyUniformUnchanged(t *testing.T) {
 		lang.NewAtom("Mid", lang.Const("c"), lang.Var("z")),
 	}
 	cards := map[string]int{"Big": 10000, "Small": 3, "Mid": 1000}
-	order := OrderBody(body, func(p string) int { return cards[p] }, -1)
+	order := OrderBodyStats(body, func(p string) ColStats { return ColStats{Card: cards[p]} }, -1)
 	// Small (cost 4) first, then Mid (1001/8 ≈ 125 with its constant),
 	// then Big (10001/8 with y bound).
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {

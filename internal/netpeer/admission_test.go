@@ -219,7 +219,7 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 
 	// gens echoes the requested predicate list, so each response is
 	// attributable to its request.
-	const n = 40 // several times MaxPipeline: the burst must survive backpressure
+	const n = 40 // several times maxPipeline: the burst must survive backpressure
 	var batch []byte
 	for i := 0; i < n; i++ {
 		b, err := json.Marshal(wire.Request{Op: "gens", Preds: []string{fmt.Sprintf("p%d", i)}})

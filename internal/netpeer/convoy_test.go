@@ -17,7 +17,7 @@ import (
 // lock — so one slow consumer (stream write-blocked on a full socket
 // buffer) plus one pending add left every later request stuck behind the
 // write-preferring RWMutex until the stall resolved, bounded only by
-// WriteTimeout (60s by default). The admission gate cannot help: the
+// writeTimeout (60s by default). The admission gate cannot help: the
 // convoyed requests already hold their slots.
 //
 // With inserts moved to the read side (relations self-synchronize), a stalled

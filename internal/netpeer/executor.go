@@ -13,9 +13,6 @@ import (
 	"repro/internal/rel"
 )
 
-// maxFanout caps the worker pool evaluating UCQ disjuncts concurrently.
-const maxFanout = 8
-
 // defaultBindPipeline is how many bind batches an executor keeps in flight
 // per connection: batch i+1 ships while batch i's rows stream back.
 const defaultBindPipeline = 4
@@ -297,65 +294,19 @@ func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 
 // EvalUCQ evaluates a union of conjunctive rewritings over the network,
 // returning the distinct union of the disjuncts' answers, sorted by
-// rel.Compare. Each disjunct's rows come back unsorted and possibly
-// repeated; the union (rel.DistinctSorted) is the one dedup and the one
-// sort. Disjuncts are independent, so they fan out over a pool of up to
-// maxFanout workers; on error the first failing disjunct (by position)
-// wins.
+// rel.Compare. It is EvalUCQSpan untraced.
 func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
 	return e.EvalUCQSpan(u, nil)
 }
 
-// EvalUCQSpan is EvalUCQ with tracing: one "eval.cq" child span per
-// disjunct, each holding that disjunct's push-down or per-atom bind-join
-// spans (with the serving peers' remote spans adopted under them). A nil
-// span evaluates identically with no overhead beyond the nil checks — it
-// satisfies pdms.SpanUCQEvaluator.
+// EvalUCQSpan evaluates u through engine.EvalDisjuncts — the fan-out the
+// local engine uses too — with each disjunct's rows coming back unsorted
+// and possibly repeated from evalCQ. Under a non-nil sp every eval.cq
+// child holds that disjunct's push-down or per-atom bind-join spans (with
+// the serving peers' remote spans adopted under them); a nil sp evaluates
+// identically, untraced.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
-	if err := u.Validate(); err != nil {
-		sp.SetErr(err)
-		return nil, err
-	}
-	sp.SetInt("disjuncts", int64(len(u.Disjuncts)))
-	n := len(u.Disjuncts)
-	groups := make([][]rel.Tuple, n)
-	errs := make([]error, n)
-	runOne := func(i int) {
-		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-		groups[i], errs[i] = e.evalCQ(u.Disjuncts[i], cs)
-		cs.SetErr(errs[i])
-		cs.End()
-	}
-	if n <= 1 {
-		for i := range u.Disjuncts {
-			runOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < min(n, maxFanout); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range u.Disjuncts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := rel.DistinctSorted(groups...)
-	sp.SetInt("rows", int64(len(out)))
-	return out, nil
+	return engine.EvalDisjuncts(u, sp, e.evalCQ)
 }
 
 // EvalCQ evaluates one conjunctive rewriting over the network, returning

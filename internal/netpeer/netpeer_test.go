@@ -41,13 +41,9 @@ func TestClientCatalogScanEval(t *testing.T) {
 	}
 	defer c.Close()
 
-	preds, err := c.Catalog()
-	if err != nil || len(preds) != 1 || preds[0] != "FH.doc" {
-		t.Fatalf("catalog = %v err = %v", preds, err)
-	}
-	cards, err := c.CatalogStats()
+	cards, _, err := c.CatalogMeta()
 	if err != nil || len(cards) != 1 || cards["FH.doc"] != 2 {
-		t.Fatalf("catalog stats = %v err = %v", cards, err)
+		t.Fatalf("catalog = %v err = %v", cards, err)
 	}
 	rows, err := c.Scan("FH.doc")
 	if err != nil || len(rows) != 2 {
@@ -83,7 +79,7 @@ func TestClientRemoteError(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The connection stays usable after an error response.
-	if _, err := c.Catalog(); err != nil {
+	if _, _, err := c.CatalogMeta(); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
 	}
 }

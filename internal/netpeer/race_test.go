@@ -298,7 +298,7 @@ func TestAddFactConcurrentCreation(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.CatalogStats(); err != nil {
+			if _, _, err := c.CatalogMeta(); err != nil {
 				t.Errorf("catalog: %v", err)
 				return
 			}
@@ -329,7 +329,7 @@ func TestAddFactConcurrentCreation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cards, err := c.CatalogStats()
+	cards, _, err := c.CatalogMeta()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,9 @@
 // to MaxQueue more wait in a FIFO queue bounded by QueueWait each, and
 // everything beyond is *shed* with an in-band busy error frame (retryable;
 // the executor's pools back off with jitter and retry). Each connection
-// additionally decodes at most MaxPipeline requests ahead of the one being
-// answered — beyond that it simply stops reading, so a client pipelining
-// thousands of requests is held back by TCP flow control rather than
+// additionally decodes at most defaultMaxPipeline requests ahead of the
+// one being answered — beyond that it simply stops reading, so a client
+// pipelining thousands of requests is held back by TCP flow control rather than
 // buffering server memory. Graceful shutdown (Drain) stops accepting,
 // lets queued and in-flight requests finish, then closes.
 //
@@ -51,7 +51,7 @@
 // with the generations. An oversized or garbled *request* frame is
 // answered with an in-band error (the stream stays framed), never a silent
 // connection drop; genuinely broken streams are counted and reported
-// through the optional Server.Logf diagnostic hook.
+// through the optional Server.Logger.
 //
 // Cross-peer rewritings execute as a streaming, adaptive, pipelined
 // bind-join: the Executor orders atoms by the engine's selectivity
@@ -61,8 +61,9 @@
 // pipelined batches — batch i+1 is written while batch i's rows are still
 // streaming back — unless the peer's advertised cardinality says the whole
 // (selection-pushed) relation is smaller than the key set, in which case
-// it fetches the relation instead. UCQ disjuncts fan out over a worker
-// pool, multiplexed over per-address connection pools (one Client is not
+// it fetches the relation instead. UCQ disjuncts fan out through
+// engine.EvalDisjuncts, the worker pool the local engine uses too,
+// multiplexed over per-address connection pools (one Client is not
 // safe for concurrent use); pooled connections idle for a minute or more
 // are pinged before reuse so a peer restart is absorbed by a fresh dial
 // instead of a first-request failure. Both sides keep wire-level counters
@@ -150,27 +151,15 @@ const (
 // per-server indexed engine whose indexes and compiled plans persist across
 // requests (and catch up incrementally with AddFact).
 type Server struct {
-	// Logf, when non-nil, receives server-side diagnostics for conditions
-	// that cannot be answered in-band (broken request streams, read
-	// failures). Set it before Start.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives the same diagnostics as structured
-	// records (with peer and error attributes) and takes precedence over
-	// Logf. Set it before Start.
+	// Logger, when non-nil, receives server-side diagnostics for
+	// conditions that cannot be answered in-band (broken request streams,
+	// read failures) as structured records with peer and error attributes.
+	// Set it before Start.
 	Logger *slog.Logger
 	// Tracer, when non-nil, keeps the span trees of traced requests this
 	// server has answered in its ring buffer — the serving-side
 	// /debug/traces view. Untraced requests are never recorded.
 	Tracer *obs.Tracer
-	// MaxRequestBytes caps one request frame (0 = defaultMaxRequestBytes).
-	// An over-limit frame is consumed through its newline and answered
-	// with an in-band error response — the connection survives.
-	MaxRequestBytes int
-	// WriteTimeout bounds each response-frame write (0 =
-	// defaultWriteTimeout, negative = no deadline). A client that stops
-	// reading is disconnected after one timeout instead of pinning the
-	// server's read lock.
-	WriteTimeout time.Duration
 	// MaxInflight caps requests executing concurrently across all
 	// connections; requests beyond it wait in a bounded FIFO queue and are
 	// shed with an in-band busy error once the queue is full or the wait
@@ -184,12 +173,20 @@ type Server struct {
 	// QueueWait bounds one request's admission wait (0 = defaultQueueWait).
 	// Set before Start.
 	QueueWait time.Duration
-	// MaxPipeline caps requests decoded ahead per connection while earlier
-	// ones are still being answered (0 = defaultMaxPipeline). Once the
+
+	// maxRequestBytes caps one request frame (defaultMaxRequestBytes). An
+	// over-limit frame is consumed through its newline and answered with
+	// an in-band error response — the connection survives.
+	maxRequestBytes int
+	// writeTimeout bounds each response-frame write (defaultWriteTimeout):
+	// a client that stops reading is disconnected after one timeout
+	// instead of pinning the server's read lock.
+	writeTimeout time.Duration
+	// maxPipeline caps requests decoded ahead per connection while earlier
+	// ones are still being answered (defaultMaxPipeline). Once the
 	// read-ahead buffer is full the connection stops reading — TCP flow
-	// control, not server memory, absorbs an over-eager pipeliner. Set
-	// before Start.
-	MaxPipeline int
+	// control, not server memory, absorbs an over-eager pipeliner.
+	maxPipeline int
 
 	// mu guards the lifecycle fields below (lis, cancel, adm) with brief
 	// exclusive sections; data paths — streams and inserts alike — only
@@ -246,7 +243,7 @@ type ServerStats struct {
 	// ReadErrors counts request frames that could not be read cleanly
 	// (over-limit or broken mid-line). Over-limit frames also get an
 	// in-band error response; the rest tear down the connection with a
-	// Logf diagnostic instead of dying silently.
+	// Logger diagnostic instead of dying silently.
 	ReadErrors uint64
 	// Shed counts requests refused with an in-band busy error by the
 	// admission gate (queue full or queue-wait bound exceeded).
@@ -291,11 +288,14 @@ func NewServer(data *rel.Instance) *Server {
 		data = rel.NewInstance()
 	}
 	return &Server{
-		data:          data,
-		eng:           engine.New(data),
-		reqHist:       obs.NewHistogram(),
-		queueWaitHist: obs.NewHistogram(),
-		conns:         map[net.Conn]struct{}{},
+		maxRequestBytes: defaultMaxRequestBytes,
+		writeTimeout:    defaultWriteTimeout,
+		maxPipeline:     defaultMaxPipeline,
+		data:            data,
+		eng:             engine.New(data),
+		reqHist:         obs.NewHistogram(),
+		queueWaitHist:   obs.NewHistogram(),
+		conns:           map[net.Conn]struct{}{},
 	}
 }
 
@@ -478,10 +478,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer s.trackConn(conn, false)
 	bw := bufio.NewWriterSize(serverConnWriter{s: s, conn: conn}, 64*1024)
 	enc := json.NewEncoder(bw)
-	writeTimeout := s.WriteTimeout
-	if writeTimeout == 0 {
-		writeTimeout = defaultWriteTimeout
-	}
 	// send writes one response frame and flushes it to the socket, so the
 	// client makes progress chunk by chunk. Each frame gets its own write
 	// deadline: response streams run under the server's read lock, and a
@@ -489,9 +485,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	// wedged lock. Only this (handler) goroutine calls send, so responses
 	// stay in request order even with the read loop decoding ahead.
 	send := func(resp wire.Response) error {
-		if writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		s.rowsServed.Add(uint64(len(resp.Rows)))
 		if err := enc.Encode(resp); err != nil {
 			return err
@@ -499,16 +493,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		return bw.Flush()
 	}
 
-	// Pipelining split: a read loop decodes up to MaxPipeline requests
+	// Pipelining split: a read loop decodes up to maxPipeline requests
 	// ahead while this goroutine answers them strictly in order. The
 	// channel bound is the per-connection pipelining limit — when it fills,
 	// the read loop stops reading and TCP flow control pushes back on the
 	// client.
-	depth := s.MaxPipeline
-	if depth <= 0 {
-		depth = defaultMaxPipeline
-	}
-	items := make(chan connItem, depth)
+	items := make(chan connItem, s.maxPipeline)
 	// handlerDone unblocks a read loop stuck sending on items after the
 	// handler bails out mid-queue (transport failure on a response write).
 	handlerDone := make(chan struct{})
@@ -560,10 +550,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone <-chan struct{}) {
 	defer close(items)
 	br := bufio.NewReaderSize(conn, 64*1024)
-	maxFrame := s.MaxRequestBytes
-	if maxFrame <= 0 {
-		maxFrame = defaultMaxRequestBytes
-	}
 	push := func(it connItem) bool {
 		select {
 		case items <- it:
@@ -573,7 +559,7 @@ func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone 
 		}
 	}
 	for {
-		frame, err := wire.ReadFrame(br, maxFrame)
+		frame, err := wire.ReadFrame(br, s.maxRequestBytes)
 		switch {
 		case err == nil:
 		case errors.Is(err, wire.ErrFrameTooLarge):
@@ -583,8 +569,8 @@ func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone 
 			// no diagnostic on either side).
 			s.requests.Add(1)
 			s.readErrors.Add(1)
-			s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", maxFrame)
-			if !push(connItem{errMsg: fmt.Sprintf("request frame exceeds %d bytes", maxFrame)}) {
+			s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", s.maxRequestBytes)
+			if !push(connItem{errMsg: fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes)}) {
 				return
 			}
 			continue
@@ -823,7 +809,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 // would convoy the whole server behind any stalled response stream —
 // streams hold the read lock end to end, so one slow consumer plus one
 // pending writer would block every later reader on this write-preferring
-// RWMutex for as long as the stall lasts (bounded only by WriteTimeout).
+// RWMutex for as long as the stall lasts (bounded only by writeTimeout).
 // Append-only relations keep concurrent streams sound: a stream observes a
 // superset of its start-state and a subset of its end-state, which is
 // exactly right for monotone conjunctive queries.
@@ -1206,26 +1192,11 @@ func rowsToYield(yield func(rel.Tuple) error) func([][]string) error {
 	}
 }
 
-// Catalog lists the relations the peer serves.
-func (c *Client) Catalog() ([]string, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Preds, nil
-}
-
-// CatalogStats lists the relations the peer serves together with their
-// current cardinalities (estimates for join ordering; they may go stale
-// without affecting correctness).
-func (c *Client) CatalogStats() (map[string]int, error) {
-	cards, _, err := c.CatalogMeta()
-	return cards, err
-}
-
-// CatalogMeta is CatalogStats plus the per-column distinct estimates the
-// peer advertises (nil per relation when the peer predates the Distinct
-// extension) — both are join-ordering hints, never correctness inputs.
+// CatalogMeta lists the relations the peer serves together with their
+// current cardinalities and the per-column distinct estimates the peer
+// advertises (nil per relation when the peer predates the Distinct
+// extension) — both are join-ordering hints that may go stale, never
+// correctness inputs.
 func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
 	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
 	if err != nil {
@@ -1507,18 +1478,4 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 	close(abort)
 	<-writeErr
 	return readErr
-}
-
-// BindEval is BindEvalStream materialized, with sequential (depth-1)
-// batch shipping.
-func (c *Client) BindEval(a lang.Atom, bindCols []int, rows [][]string) ([]rel.Tuple, error) {
-	var out []rel.Tuple
-	err := c.BindEvalStream(a, bindCols, rows, 1, func(t rel.Tuple) error {
-		out = append(out, t)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
 	"testing"
@@ -85,11 +86,9 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	data := rel.NewInstance()
 	data.MustAdd("S.r", "v")
 	srv := NewServer(data)
-	srv.MaxRequestBytes = 4 * 1024
-	var logged []string
-	srv.Logf = func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}
+	srv.maxRequestBytes = 4 * 1024
+	var logged strings.Builder
+	srv.Logger = slog.New(slog.NewTextHandler(&logged, nil))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.BindEval(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}})
+	err = c.BindEvalStream(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, 1, func(rel.Tuple) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "request frame exceeds") {
 		t.Fatalf("err = %v, want in-band 'request frame exceeds' error", err)
 	}
@@ -114,15 +113,15 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 		t.Fatal("well-framed in-band error must not break the connection")
 	}
 	// The same connection keeps working.
-	preds, err := c.Catalog()
-	if err != nil || len(preds) != 1 {
-		t.Fatalf("connection unusable after oversize request: %v (%v)", preds, err)
+	cards, _, err := c.CatalogMeta()
+	if err != nil || len(cards) != 1 {
+		t.Fatalf("connection unusable after oversize request: %v (%v)", cards, err)
 	}
 	if st := srv.Stats(); st.ReadErrors != 1 {
 		t.Fatalf("ReadErrors = %d, want 1", st.ReadErrors)
 	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "request frame over") {
-		t.Fatalf("server diagnostic missing: %q", logged)
+	if got := logged.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "request frame over") {
+		t.Fatalf("server diagnostic missing: %q", got)
 	}
 }
 
@@ -140,7 +139,7 @@ func TestOversizeResponseBreaksClientCleanly(t *testing.T) {
 	}
 	defer c.Close()
 	c.maxFrame = 16 * 1024
-	if _, err := c.Catalog(); err == nil {
+	if _, _, err := c.CatalogMeta(); err == nil {
 		t.Fatal("oversize response frame did not surface an error")
 	}
 	if !c.Broken() {
@@ -290,7 +289,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		data.MustAdd("W.big", fmt.Sprintf("k%d", i), pad)
 	}
 	srv := NewServer(data)
-	srv.WriteTimeout = 200 * time.Millisecond
+	srv.writeTimeout = 200 * time.Millisecond
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +323,8 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if preds, err := c.Catalog(); err != nil || len(preds) != 1 {
-		t.Fatalf("catalog after stalled peer: %v (%v)", preds, err)
+	if cards, _, err := c.CatalogMeta(); err != nil || len(cards) != 1 {
+		t.Fatalf("catalog after stalled peer: %v (%v)", cards, err)
 	}
 }
 

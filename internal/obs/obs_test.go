@@ -198,6 +198,23 @@ func TestNilTracerAndSpanSafe(t *testing.T) {
 	}
 }
 
+// TestNilSpanAllocatesNothing pins the cost of an unsampled query: every
+// evaluation runs through the span calls, so on a nil span they must not
+// allocate — not to format an integer attribute, not to box a child's
+// variadic attributes.
+func TestNilSpanAllocatesNothing(t *testing.T) {
+	var s *Span
+	head := strings.Repeat("q", 3)
+	if n := testing.AllocsPerRun(100, func() { s.SetInt("rows", 3200) }); n != 0 {
+		t.Errorf("nil SetInt: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Child("eval.cq", Attr{K: "head", V: head}).End()
+	}); n != 0 {
+		t.Errorf("nil Child with attrs: %v allocs, want 0", n)
+	}
+}
+
 func TestSpanTreeAndRender(t *testing.T) {
 	tr := NewTracer(4)
 	tr.SetSampleEvery(1)

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,7 +90,9 @@ func (t *trace) newSpan(parent *Span, name string, attrs []Attr) *Span {
 		parent: parent,
 		name:   name,
 		start:  time.Now(),
-		attrs:  attrs,
+		// A private copy: keeping the caller's variadic slice would make
+		// every Child call heap-allocate it, even on a nil span.
+		attrs: slices.Clone(attrs),
 	}
 }
 
@@ -136,8 +139,14 @@ func (s *Span) Set(k, v string) {
 	s.mu.Unlock()
 }
 
-// SetInt is Set for integer values.
-func (s *Span) SetInt(k string, v int64) { s.Set(k, strconv.FormatInt(v, 10)) }
+// SetInt is Set for integer values. Nil-safe, and free on a nil span: the
+// value is formatted only once the span is known to be live.
+func (s *Span) SetInt(k string, v int64) {
+	if s == nil {
+		return
+	}
+	s.Set(k, strconv.FormatInt(v, 10))
+}
 
 // SetErr records a non-nil error on the span. Nil-safe in both arguments.
 func (s *Span) SetErr(err error) {

@@ -1,9 +1,12 @@
 package pdms_test
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/netpeer"
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -48,6 +51,48 @@ fact FH.doc("d2", "icu")
 	// Explain keeps the trace in the network's ring for /debug/traces.
 	if net.Tracer().Recorded() == 0 {
 		t.Fatal("Explain did not record the trace")
+	}
+}
+
+// TestQueryViaLocalEngine drives the local indexed engine through the one
+// evaluator interface, untraced (QueryVia) and traced (ExplainVia): on the
+// Figure 2 fixture both must return exactly Query's answers, and the
+// traced run must carry the engine's per-disjunct spans.
+func TestQueryViaLocalEngine(t *testing.T) {
+	src, err := os.ReadFile("../testdata/figure2.ppl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := pdms.Load(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `q(f1, f2) :- FS:SameEngine(f1, f2, e), FS:Skill(f1, s), FS:Skill(f2, s)`
+	want, err := net.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture query has no answers")
+	}
+	via, err := net.QueryVia(q, engine.New(net.Data()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(via, want) {
+		t.Fatalf("QueryVia %v != Query %v", via, want)
+	}
+	text, explained, err := net.ExplainVia(q, engine.New(net.Data()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(explained, want) {
+		t.Fatalf("ExplainVia %v != Query %v", explained, want)
+	}
+	for _, span := range []string{"eval.cq", "plan", "exec"} {
+		if !strings.Contains(text, span) {
+			t.Fatalf("ExplainVia trace missing %q:\n%s", span, text)
+		}
 	}
 }
 

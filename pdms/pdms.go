@@ -469,12 +469,8 @@ func (n *Network) query(query string, root *obs.Span) ([]Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
-	}
-	n.answers.Put(key, out)
-	return out, nil
+	n.answers.Put(key, rows)
+	return rows, nil
 }
 
 // Explain runs query with tracing forced (regardless of the sampling
@@ -491,10 +487,12 @@ func (n *Network) Explain(query string) (string, []Answer, error) {
 }
 
 // UCQEvaluator executes a reformulated union of conjunctive queries over
-// stored relations. Both the local indexed engine (*engine.Engine) and the
+// stored relations, attaching its execution spans (per-disjunct
+// evaluation, bind-join batches, remote work) under sp; a nil sp means
+// untraced. Both the local indexed engine (*engine.Engine) and the
 // distributed *netpeer.Executor implement it.
 type UCQEvaluator interface {
-	EvalUCQ(u lang.UCQ) ([]rel.Tuple, error)
+	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
 }
 
 // QueryVia reformulates query at this network and executes the rewriting
@@ -507,14 +505,6 @@ type UCQEvaluator interface {
 // revalidates against the serving peers' per-relation generations).
 func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	return n.queryVia(query, exec, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
-}
-
-// SpanUCQEvaluator is a UCQEvaluator that can attach its execution spans
-// (per-disjunct evaluation, bind-join batches, remote work) under a trace
-// span. *engine.Engine and *netpeer.Executor implement it.
-type SpanUCQEvaluator interface {
-	UCQEvaluator
-	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
 }
 
 // queryVia is QueryVia under an optional trace root (see query).
@@ -537,22 +527,13 @@ func (n *Network) queryVia(query string, exec UCQEvaluator, root *obs.Span) ([]A
 		return nil, err
 	}
 	es := root.Child("eval")
-	var rows []rel.Tuple
-	if se, ok := exec.(SpanUCQEvaluator); ok && es != nil {
-		rows, err = se.EvalUCQSpan(ref.Rewriting, es)
-	} else {
-		rows, err = exec.EvalUCQ(ref.Rewriting)
-	}
+	rows, err := exec.EvalUCQSpan(ref.Rewriting, es)
 	es.SetErr(err)
 	es.End()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
-	}
-	return out, nil
+	return rows, nil
 }
 
 // ExplainVia runs query through exec with tracing forced and returns the
@@ -627,15 +608,7 @@ func (n *Network) CertainAnswers(query string) ([]Answer, error) {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	rows, err := chase.CertainAnswers(n.spec, n.data, q, chase.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
-	}
-	return out, nil
+	return chase.CertainAnswers(n.spec, n.data, q, chase.Options{})
 }
 
 // Classify reports the data complexity of certain-answer computation for
