@@ -37,10 +37,7 @@ func BenchmarkFigure3(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := core.New(w.PDMS, core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				r := core.New(w.PDMS, core.Options{})
 				var nodes int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -72,10 +69,7 @@ func BenchmarkFigure4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := core.New(w.PDMS, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := core.New(w.PDMS, core.Options{})
 		for _, series := range []struct {
 			name string
 			k    int // stop after k rewritings; 0 = all
@@ -91,7 +85,7 @@ func BenchmarkFigure4(b *testing.B) {
 				var total int
 				for i := 0; i < b.N; i++ {
 					n := 0
-					_, err := r.Stream(w.Query, func(lang.CQ) bool {
+					_, err := r.Stream(w.Query, nil, func(lang.CQ) bool {
 						n++
 						return series.k == 0 || n < series.k
 					})
@@ -116,10 +110,7 @@ func BenchmarkNodeRate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := core.New(w.PDMS, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := core.New(w.PDMS, core.Options{})
 	var nodes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -162,10 +153,7 @@ func benchAblation(b *testing.B, name string, opts core.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := core.New(w.PDMS, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := core.New(w.PDMS, opts)
 		var nodes int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -192,15 +180,12 @@ func BenchmarkAblationPruning(b *testing.B) {
 		{"pruning-off", core.Options{NoPruneUnsat: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			r, err := core.New(spec.PDMS, tc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			r := core.New(spec.PDMS, tc.opts)
 			var nodes, rewritings int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				st, err := r.Stream(spec.Query, func(lang.CQ) bool {
+				st, err := r.Stream(spec.Query, nil, func(lang.CQ) bool {
 					n++
 					return true
 				})
@@ -225,14 +210,11 @@ func BenchmarkEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := core.New(w.PDMS, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := core.New(w.PDMS, core.Options{})
 	// Random topologies can leave a query unreachable from storage; verify
 	// this seed is productive before timing (fail loudly otherwise so the
 	// benchmark never silently measures an empty pipeline).
-	probe, err := r.Reformulate(w.Query)
+	probe, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +223,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Reformulate(w.Query); err != nil {
+		if _, err := r.Reformulate(w.Query, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,10 +56,7 @@ func run(path, queryArg string, exec bool, first int, tree bool) error {
 	if len(queries) == 0 {
 		return fmt.Errorf("no queries (use -q or add `query` statements to %s)", path)
 	}
-	r, err := core.New(res.PDMS, core.Options{MaxRewritings: first})
-	if err != nil {
-		return err
-	}
+	r := core.New(res.PDMS, core.Options{MaxRewritings: first})
 	eng := engine.New(res.Data)
 	for i, q := range queries {
 		fmt.Printf("query %d: %s\n", i+1, q)
@@ -72,7 +69,7 @@ func run(path, queryArg string, exec bool, first int, tree bool) error {
 			fmt.Print(txt)
 		}
 		start := time.Now()
-		out, err := r.Reformulate(q)
+		out, err := r.Reformulate(q, nil)
 		if err != nil {
 			return err
 		}

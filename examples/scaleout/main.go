@@ -50,14 +50,11 @@ func reformulationSweep() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := core.New(w.PDMS, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		r := core.New(w.PDMS, core.Options{})
 		start := time.Now()
 		var first, tenth time.Duration
 		n := 0
-		st, err := r.Stream(w.Query, func(lang.CQ) bool {
+		st, err := r.Stream(w.Query, nil, func(lang.CQ) bool {
 			n++
 			switch n {
 			case 1:
@@ -93,11 +90,8 @@ func reformulationSweep() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.New(w.PDMS, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := core.New(w.PDMS, core.Options{})
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

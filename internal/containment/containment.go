@@ -14,6 +14,8 @@
 package containment
 
 import (
+	"slices"
+
 	"repro/internal/constraints"
 	"repro/internal/lang"
 )
@@ -23,21 +25,65 @@ import (
 // mapping from q2 into q1 that preserves the head, and (when comparisons are
 // present) checking that q1's constraints imply the image of q2's.
 func Contains(q1, q2 lang.CQ) bool {
+	return contains(prepare(q1), prepare(q2))
+}
+
+// prepared is one query readied for containment tests on either side, so
+// that a caller testing many pairs pays the per-query work once per query
+// instead of once per pair.
+type prepared struct {
+	// q is the query as given: the contained side, whose variables are
+	// rigid (they are the canonical-database constants).
+	q lang.CQ
+	// apart is q renamed apart for use as the containing side: sharing
+	// variable names with the contained query would corrupt the mapping
+	// search. Plain Fresh names are used (not FreshLike): suffix-preserving
+	// names from a new supply could collide with "#"-suffixed variables
+	// another supply produced — e.g. in rewritings from the reformulation
+	// engine.
+	apart lang.CQ
+	// preds lists the distinct body predicates.
+	preds []string
+	// cons is q's comparison conjunction and sat its satisfiability.
+	cons *constraints.Set
+	sat  bool
+}
+
+func prepare(q lang.CQ) *prepared {
+	ren := lang.NewSubst()
+	vs := lang.NewVarSupply("_cm")
+	for _, v := range q.Vars() {
+		ren[v.Name] = vs.Fresh()
+	}
+	cons := constraints.New(q.Comps...)
+	return &prepared{q: q, apart: q.Apply(ren), preds: q.Preds(), cons: cons, sat: cons.Satisfiable()}
+}
+
+func prepareAll(qs []lang.CQ) []*prepared {
+	out := make([]*prepared, len(qs))
+	for i, q := range qs {
+		out[i] = prepare(q)
+	}
+	return out
+}
+
+// contains is Contains over prepared queries: p1.q ⊆ p2.q.
+func contains(p1, p2 *prepared) bool {
+	q1, q2 := p1.q, p2.apart
 	if q1.Head.Arity() != q2.Head.Arity() {
 		return false
 	}
-	// Rename q2 apart from q1: a containment mapping treats q1's variables
-	// as rigid (they are the canonical-database constants), so sharing
-	// names across the two queries would corrupt the search. Plain Fresh
-	// names are used (not FreshLike): suffix-preserving names from a new
-	// supply could collide with "#"-suffixed variables another supply
-	// produced — e.g. in rewritings from the reformulation engine.
-	ren := lang.NewSubst()
-	vs := lang.NewVarSupply("_cm")
-	for _, v := range q2.Vars() {
-		ren[v.Name] = vs.Fresh()
+	// A containment mapping sends every atom of q2 onto an atom of q1 with
+	// the same predicate, so a q2 predicate missing from q1 rules the pair
+	// out before any search. Only for a satisfiable q1: an empty q1 is
+	// contained in every q2 whose head matches.
+	if p1.sat {
+		for _, p := range p2.preds {
+			if !slices.Contains(p1.preds, p) {
+				return false
+			}
+		}
 	}
-	q2 = q2.Apply(ren)
 	// The mapping must send q2's head to q1's head.
 	base, ok := lang.Match(q2.Head, q1.Head, nil)
 	if !ok {
@@ -50,14 +96,13 @@ func Contains(q1, q2 lang.CQ) bool {
 			return false
 		}
 	}
-	c1 := constraints.New(q1.Comps...)
-	if !c1.Satisfiable() {
+	if !p1.sat {
 		return true // q1 is empty, contained in everything
 	}
 	return findMapping(q2.Body, q1.Body, base, func(s lang.Subst) bool {
 		// Constraint side-condition: c(q1) must imply s(c(q2)).
 		for _, c := range q2.Comps {
-			if !c1.Implies(s.ApplyComparison(c)) {
+			if !p1.cons.Implies(s.ApplyComparison(c)) {
 				return false
 			}
 		}
@@ -102,6 +147,7 @@ func Minimize(q lang.CQ) lang.CQ {
 	cur := q.Clone()
 	for changed := true; changed; {
 		changed = false
+		pc := prepare(cur)
 		for i := range cur.Body {
 			if len(cur.Body) == 1 {
 				break
@@ -113,7 +159,7 @@ func Minimize(q lang.CQ) lang.CQ {
 			}
 			// reduced has fewer atoms so cur ⊆ reduced always; the drop is
 			// sound when reduced ⊆ cur too.
-			if Contains(reduced, cur) {
+			if contains(prepare(reduced), pc) {
 				cur = reduced
 				changed = true
 				break
@@ -128,10 +174,12 @@ func Minimize(q lang.CQ) lang.CQ {
 // criterion is sound and complete for UCQs without comparisons, by
 // Sagiv–Yannakakis).
 func ContainsUCQ(u1, u2 lang.UCQ) bool {
+	p2 := prepareAll(u2.Disjuncts)
 	for _, d1 := range u1.Disjuncts {
+		p1 := prepare(d1)
 		found := false
-		for _, d2 := range u2.Disjuncts {
-			if Contains(d1, d2) {
+		for _, d2 := range p2 {
+			if contains(p1, d2) {
 				found = true
 				break
 			}
@@ -145,18 +193,20 @@ func ContainsUCQ(u1, u2 lang.UCQ) bool {
 
 // RemoveRedundant drops every disjunct of u that is contained in another
 // (retained) disjunct, returning a minimal equivalent union. Deterministic:
-// earlier disjuncts win ties.
+// earlier disjuncts win ties. Each disjunct is prepared once, so most pairs
+// are rejected by their predicates without a mapping search.
 func RemoveRedundant(u lang.UCQ) lang.UCQ {
+	ps := prepareAll(u.Disjuncts)
 	var out lang.UCQ
-	for i, d := range u.Disjuncts {
+	for i, d := range ps {
 		redundant := false
-		for j, e := range u.Disjuncts {
+		for j, e := range ps {
 			if i == j {
 				continue
 			}
-			if Contains(d, e) {
+			if contains(d, e) {
 				// Tie-break mutual containment by index.
-				if Contains(e, d) && i < j {
+				if i < j && contains(e, d) {
 					continue
 				}
 				redundant = true
@@ -164,7 +214,7 @@ func RemoveRedundant(u lang.UCQ) lang.UCQ {
 			}
 		}
 		if !redundant {
-			out.Add(d)
+			out.Add(d.q)
 		}
 	}
 	if out.Len() == 0 && u.Len() > 0 {

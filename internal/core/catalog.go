@@ -31,25 +31,26 @@ type rule struct {
 // catalog is the step-1 normalized form of a PDMS (Section 4.2): every
 // equality split into two inclusions, every inclusion Q1 ⊆ Q2 split into a
 // view V ⊆ Q2 plus a rule V :- Q1, definitional mappings kept as rules.
-// Indexed for expansion.
+// Indexed for expansion. Every field is computed by newCatalog and only
+// read afterwards, so one catalog serves concurrent reformulations.
 type catalog struct {
 	pdms *ppl.PDMS
 	// rulesByHead indexes rules by head predicate (definitional expansion).
 	rulesByHead map[string][]*rule
 	// viewsByBodyPred indexes views by body predicate (inclusion expansion).
 	viewsByBodyPred map[string][]*minicon.View
-	// nViews counts normalized views (diagnostics).
-	nViews int
-	// reach caches, per predicate, the set of description IDs reachable
-	// from it in the dependency graph: only these descriptions can occur
-	// anywhere in a rule-goal subtree rooted at a goal over the predicate,
-	// so ban-sets restricted to this cone fully determine the subtree.
+	// reach holds, per predicate with rules or views, the set of
+	// description IDs reachable from it in the dependency graph: only these
+	// descriptions can occur anywhere in a rule-goal subtree rooted at a
+	// goal over the predicate, so ban-sets restricted to this cone fully
+	// determine the subtree. A predicate with neither has no entry (its
+	// cone is empty).
 	reach map[string]map[string]bool
 	// nextPreds maps each description ID to the predicates its expansion
 	// introduces (definitional rule body; inclusion LHS body via the
 	// V-rule).
 	nextPreds map[string][]string
-	// grounds caches the groundability fixpoint (see prune.go): rule-head
+	// grounds is the groundability fixpoint (see prune.go): rule-head
 	// predicates derivable from stored relations.
 	grounds map[string]bool
 	// descContent maps each description ID to its canonical content string,
@@ -59,10 +60,14 @@ type catalog struct {
 	// inclusion's canonical content, so replicated mappings' distinct
 	// V-predicates canonicalize identically in childSig (see prune.go).
 	vpredContent map[string]string
+	// class is the query-independent part of the Theorem 3.1–3.3
+	// classification.
+	class ppl.SpecClass
 }
 
-// newCatalog normalizes the PDMS descriptions.
-func newCatalog(n *ppl.PDMS) (*catalog, error) {
+// newCatalog normalizes the PDMS descriptions and computes every derived
+// index up front.
+func newCatalog(n *ppl.PDMS) *catalog {
 	c := &catalog{
 		pdms:            n,
 		rulesByHead:     map[string][]*rule{},
@@ -125,7 +130,18 @@ func newCatalog(n *ppl.PDMS) (*catalog, error) {
 		addInclusion(s.ID, lhs, rhs)
 		c.recordContent(s.ID, "store", lhs, rhs)
 	}
-	return c, nil
+	c.grounds = c.groundSet()
+	c.reach = map[string]map[string]bool{}
+	for p := range c.rulesByHead {
+		c.reach[p] = c.reachable(p)
+	}
+	for p := range c.viewsByBodyPred {
+		if c.reach[p] == nil {
+			c.reach[p] = c.reachable(p)
+		}
+	}
+	c.class = n.ClassifySpec()
+	return c
 }
 
 func (c *catalog) addRule(r *rule) {
@@ -138,7 +154,6 @@ func (c *catalog) addRule(r *rule) {
 }
 
 func (c *catalog) addView(v *minicon.View) {
-	c.nViews++
 	seen := map[string]bool{}
 	for _, a := range v.Body {
 		if !seen[a.Pred] {
@@ -161,16 +176,9 @@ func (c *catalog) recordNext(id string, preds []lang.Atom) {
 	}
 }
 
-// reachable returns the description IDs reachable from pred (cached).
+// reachable returns the description IDs reachable from pred.
 func (c *catalog) reachable(pred string) map[string]bool {
-	if c.reach == nil {
-		c.reach = map[string]map[string]bool{}
-	}
-	if r, ok := c.reach[pred]; ok {
-		return r
-	}
 	out := map[string]bool{}
-	c.reach[pred] = out // pre-publish to cut cycles
 	var visitPred func(p string)
 	seenPred := map[string]bool{}
 	visitPred = func(p string) {

@@ -69,11 +69,8 @@ func FuzzPPLReformulate(f *testing.F) {
 		answers := func(opts Options) ([]rel.Tuple, bool) {
 			opts.MaxNodes = maxNodes
 			opts.MaxRewritings = maxRewritings
-			r, err := New(res.PDMS, opts)
-			if err != nil {
-				return nil, false
-			}
-			out, err := r.Reformulate(q)
+			r := New(res.PDMS, opts)
+			out, err := r.Reformulate(q, nil)
 			if err != nil {
 				return nil, false // node budget exceeded: fuzzer-built pathological spec
 			}

@@ -88,11 +88,8 @@ func TestPropagateUpNeutralWithoutComparisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(opts Options) (Stats, []rel.Tuple) {
-		r, err := New(w.PDMS, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := r.Reformulate(w.Query)
+		r := New(w.PDMS, opts)
+		out, err := r.Reformulate(w.Query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,18 +123,12 @@ func TestMemoFiresOnDeadEndWorkload(t *testing.T) {
 	// NoPruneSubsumed: the hopeless-predicate prune (prune.go) kills this
 	// workload's dead ends before the memo sees them; disable it so the test
 	// measures the memo in isolation.
-	rOn, err := New(w.PDMS, Options{NoPruneSubsumed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rOn := New(w.PDMS, Options{NoPruneSubsumed: true})
 	stOn, err := rOn.BuildTree(w.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOff, err := New(w.PDMS, Options{NoMemo: true, NoPruneSubsumed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rOff := New(w.PDMS, Options{NoMemo: true, NoPruneSubsumed: true})
 	stOff, err := rOff.BuildTree(w.Query)
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +153,8 @@ func TestMemoPreservesAnswersOnDeadEndWorkload(t *testing.T) {
 	}
 	var rows [][]rel.Tuple
 	for _, opts := range []Options{{}, {NoMemo: true}} {
-		r, err := New(w.PDMS, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := r.Reformulate(w.Query)
+		r := New(w.PDMS, opts)
+		out, err := r.Reformulate(w.Query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

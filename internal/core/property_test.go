@@ -116,11 +116,8 @@ func TestReformulationSoundOnCoNPSpecs(t *testing.T) {
 		tested++
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			// Soundness needs only a sample of the (possibly huge) union.
-			r, err := New(w.PDMS, Options{MaxRewritings: 300, KeepRedundant: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := r.Reformulate(w.Query)
+			r := New(w.PDMS, Options{MaxRewritings: 300, KeepRedundant: true})
+			out, err := r.Reformulate(w.Query, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,11 +157,8 @@ func TestReformulationSoundOnCoNPSpecs(t *testing.T) {
 
 func compareWithOracle(t *testing.T, w *workload.Workload) {
 	t.Helper()
-	r, err := New(w.PDMS, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := New(w.PDMS, Options{})
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,19 +199,13 @@ func TestRedundancyEliminationPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rKeep, err := New(w.PDMS, Options{KeepRedundant: true})
+		rKeep := New(w.PDMS, Options{KeepRedundant: true})
+		outKeep, err := rKeep.Reformulate(w.Query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outKeep, err := rKeep.Reformulate(w.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rMin, err := New(w.PDMS, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outMin, err := rMin.Reformulate(w.Query)
+		rMin := New(w.PDMS, Options{})
+		outMin, err := rMin.Reformulate(w.Query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +236,8 @@ func TestRewritingsWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(w.PDMS, Options{KeepRedundant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := New(w.PDMS, Options{KeepRedundant: true})
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +267,8 @@ func TestFreshVariablesDoNotCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(w.PDMS, Options{KeepRedundant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := New(w.PDMS, Options{KeepRedundant: true})
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

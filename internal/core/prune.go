@@ -39,12 +39,9 @@ import (
 // relations: a head joins the set when some rule for it has every body
 // predicate groundable as a goal (stored, derivable, or coverable through a
 // view whose V-predicate is derivable). The fixpoint is over the normalized
-// catalog, so V-predicates participate through their V-rules. Cached — the
-// catalog's indexes are immutable after construction.
+// catalog, so V-predicates participate through their V-rules; newCatalog
+// computes it once, after the indexes are complete.
 func (c *catalog) groundSet() map[string]bool {
-	if c.grounds != nil {
-		return c.grounds
-	}
 	g := map[string]bool{}
 	goalOK := func(p string) bool {
 		if g[p] || c.isStored(p) {
@@ -79,7 +76,6 @@ func (c *catalog) groundSet() map[string]bool {
 			}
 		}
 	}
-	c.grounds = g
 	return g
 }
 
@@ -88,7 +84,7 @@ func (c *catalog) groundSet() map[string]bool {
 // over it has a derivable V-predicate. False means the goal is a dead end
 // before any expansion is tried.
 func (c *catalog) groundableGoal(pred string) bool {
-	g := c.groundSet()
+	g := c.grounds
 	if g[pred] || c.isStored(pred) {
 		return true
 	}

@@ -15,11 +15,8 @@ import (
 // rewriting on w.Data.
 func reformulateAnswers(t *testing.T, w *workload.Workload, opts Options) ([]rel.Tuple, Stats) {
 	t.Helper()
-	r, err := New(w.PDMS, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := New(w.PDMS, opts)
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,17 @@ import (
 
 	"repro/internal/containment"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/ppl"
 )
 
 // Reformulator reformulates queries over a PDMS into unions of conjunctive
-// queries over stored relations. It is safe to reuse for many queries; it is
-// not safe for concurrent use (create one per goroutine — construction is
-// cheap, the catalog is shared immutably).
+// queries over stored relations. New does the paper's step-1 normalization
+// and every spec-only analysis once; after that nothing writes to the
+// Reformulator, so it is safe for concurrent use. Build it once per
+// specification version: it reflects the PDMS as it was at New, and the
+// PDMS must not be mutated while it is in use (pdms.Network rebuilds its
+// Reformulator under the write lock on every Extend).
 type Reformulator struct {
 	pdms *ppl.PDMS
 	cat  *catalog
@@ -19,12 +23,8 @@ type Reformulator struct {
 }
 
 // New builds a Reformulator for the PDMS with the given options.
-func New(n *ppl.PDMS, opts Options) (*Reformulator, error) {
-	cat, err := newCatalog(n)
-	if err != nil {
-		return nil, err
-	}
-	return &Reformulator{pdms: n, cat: cat, opts: opts}, nil
+func New(n *ppl.PDMS, opts Options) *Reformulator {
+	return &Reformulator{pdms: n, cat: newCatalog(n), opts: opts}
 }
 
 // Result is the outcome of a full reformulation.
@@ -43,10 +43,13 @@ type Result struct {
 
 // Reformulate builds the rule-goal tree for q, extracts every conjunctive
 // rewriting (up to Options.MaxRewritings), and removes redundant disjuncts
-// unless Options.KeepRedundant is set.
-func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
+// unless Options.KeepRedundant is set. When sp is non-nil it receives one
+// child span per rule-goal tree node expanded during construction (goal
+// nodes as "goal", their expansions as "rule"/"mcd" children), nested to
+// mirror the tree; nil means untraced.
+func (r *Reformulator) Reformulate(q lang.CQ, sp *obs.Span) (Result, error) {
 	var res Result
-	stats, err := r.Stream(q, func(cq lang.CQ) bool {
+	stats, err := r.Stream(q, sp, func(cq lang.CQ) bool {
 		res.UCQ.Add(cq)
 		return true
 	})
@@ -61,19 +64,19 @@ func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
 		res.UCQ = containment.RemoveRedundant(res.UCQ)
 	}
 	res.Stats = stats
-	res.Classification = r.pdms.Classify(q)
+	res.Classification = r.cat.class.Query(q)
 	return res, nil
 }
 
 // Stream builds the rule-goal tree for q and streams conjunctive rewritings
 // to yield as they are extracted; yield returning false stops extraction
 // early (the paper's "first rewritings quickly" usage). It returns the
-// accumulated statistics.
-func (r *Reformulator) Stream(q lang.CQ, yield func(lang.CQ) bool) (Stats, error) {
+// accumulated statistics. sp traces tree construction as in Reformulate.
+func (r *Reformulator) Stream(q lang.CQ, sp *obs.Span, yield func(lang.CQ) bool) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	root, b, err := r.build(q)
+	root, b, err := r.build(q, sp)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -95,7 +98,7 @@ func (r *Reformulator) BuildTree(q lang.CQ) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	_, b, err := r.build(q)
+	_, b, err := r.build(q, nil)
 	if err != nil {
 		return Stats{}, err
 	}

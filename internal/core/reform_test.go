@@ -17,10 +17,7 @@ func setup(t *testing.T, src string, opts Options) (*Reformulator, *parser.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(res.PDMS, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(res.PDMS, opts)
 	return r, res
 }
 
@@ -31,7 +28,7 @@ func reform(t *testing.T, r *Reformulator, query string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Reformulate(q)
+	out, err := r.Reformulate(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ fact S.r1("a")
 		t.Fatal(err)
 	}
 	count := 0
-	_, err = r.Stream(q, func(cq lang.CQ) bool {
+	_, err = r.Stream(q, nil, func(cq lang.CQ) bool {
 		count++
 		return false // stop after first
 	})
@@ -340,18 +337,18 @@ include B:S(x) in C:T(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Reformulate(q); err == nil || !strings.Contains(err.Error(), "budget") {
+	if _, err := r.Reformulate(q, nil); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRejectInvalidQuery(t *testing.T) {
 	r, _ := setup(t, `storage S.r(x) in A:R(x)`, Options{})
-	if _, err := r.Reformulate(lang.CQ{Head: lang.NewAtom("q", lang.Var("x"))}); err == nil {
+	if _, err := r.Reformulate(lang.CQ{Head: lang.NewAtom("q", lang.Var("x"))}, nil); err == nil {
 		t.Fatal("empty body accepted")
 	}
 	q, _ := parser.ParseQuery(`q(x) :- Zzz:Nope(x)`)
-	if _, err := r.Reformulate(q); err == nil {
+	if _, err := r.Reformulate(q, nil); err == nil {
 		t.Fatal("undeclared relation accepted")
 	}
 }

@@ -105,11 +105,6 @@ type Options struct {
 	KeepRedundant bool
 	// MaxRewritings caps extraction (0 = all).
 	MaxRewritings int
-	// Trace, when non-nil, receives one child span per rule-goal tree node
-	// expanded during construction (goal nodes as "goal", their expansions
-	// as "rule"/"mcd" children), nested to mirror the tree. Nil disables
-	// tracing at the cost of nil checks only.
-	Trace *obs.Span
 }
 
 const defaultMaxNodes = 2_000_000
@@ -147,8 +142,9 @@ type builder struct {
 	err  error
 }
 
-// build constructs the full tree for query q and returns the root.
-func (r *Reformulator) build(q lang.CQ) (*node, *builder, error) {
+// build constructs the full tree for query q and returns the root, tracing
+// construction under sp (nil: untraced).
+func (r *Reformulator) build(q lang.CQ, sp *obs.Span) (*node, *builder, error) {
 	b := &builder{
 		cat:  r.cat,
 		opts: r.opts,
@@ -186,11 +182,11 @@ func (r *Reformulator) build(q lang.CQ) (*node, *builder, error) {
 		b.stats.GoalNodes++
 	}
 	// Expand each subgoal depth-first.
-	b.expandChildren(qr, maxNodes, r.opts.Trace)
+	b.expandChildren(qr, maxNodes, sp)
 	if b.err != nil {
 		return nil, nil, b.err
 	}
-	if sp := r.opts.Trace; sp != nil {
+	if sp != nil {
 		sp.SetInt("goal_nodes", int64(b.stats.GoalNodes))
 		sp.SetInt("rule_nodes", int64(b.stats.RuleNodes))
 		sp.SetInt("memo_hits", int64(b.stats.MemoHits))
@@ -381,7 +377,7 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		// Only descriptions reachable from this predicate can influence
 		// the subtree; restricting the ban set to that cone makes memo
 		// entries comparable across unrelated branches.
-		reach := b.cat.reachable(n.label.Pred)
+		reach := b.cat.reach[n.label.Pred]
 		restrictedBans = map[string]bool{}
 		for d := range n.banned {
 			if reach[d] {

@@ -70,10 +70,7 @@ func buildOneCov(peers, diameter int, dd, coverage float64, seed int64, opts cor
 	if err != nil {
 		return core.Stats{}, 0, err
 	}
-	r, err := core.New(w.PDMS, opts)
-	if err != nil {
-		return core.Stats{}, 0, err
-	}
+	r := core.New(w.PDMS, opts)
 	start := time.Now()
 	st, err := r.BuildTree(w.Query)
 	if err != nil {
@@ -129,15 +126,12 @@ func streamOne(peers, diameter int, dd float64, seed int64, opts core.Options) (
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	r, err := core.New(w.PDMS, opts)
-	if err != nil {
-		return Fig4Point{}, err
-	}
+	r := core.New(w.PDMS, opts)
 	var p Fig4Point
 	p.Diameter = diameter
 	start := time.Now()
 	n := 0
-	_, err = r.Stream(w.Query, func(lang.CQ) bool {
+	_, err = r.Stream(w.Query, nil, func(lang.CQ) bool {
 		n++
 		switch n {
 		case 1:

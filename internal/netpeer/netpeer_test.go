@@ -199,15 +199,12 @@ storage H2.doc(s, l) in H:Doctor(s, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.New(res.PDMS, core.Options{KeepRedundant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := core.New(res.PDMS, core.Options{KeepRedundant: true})
 	q, err := parser.ParseQuery(`q(s) :- H:Doctor(s, l)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Reformulate(q)
+	out, err := r.Reformulate(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

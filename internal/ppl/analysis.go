@@ -2,6 +2,7 @@ package ppl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -193,7 +194,23 @@ func (c Classification) String() string {
 //     co-NP (Thm 3.3(2)).
 //   - Cyclic inclusion graph (beyond what projection-free equalities
 //     induce) → undecidable in general (Thm 3.1(1)).
+//
+// It is ClassifySpec followed by SpecClass.Query.
 func (n *PDMS) Classify(query lang.CQ) Classification {
+	return n.ClassifySpec().Query(query)
+}
+
+// SpecClass is the query-independent part of a Classification: every
+// condition of Theorems 3.1–3.3 except the query's own comparisons. It
+// depends only on the specification, so it can be computed once per
+// specification and completed per query.
+type SpecClass struct {
+	c Classification
+}
+
+// ClassifySpec checks the conditions of Classify that depend only on the
+// specification.
+func (n *PDMS) ClassifySpec() SpecClass {
 	var out Classification
 
 	acyclic, cycle := n.AcyclicInclusionsOnly()
@@ -201,7 +218,7 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 		out.Class = Undecidable
 		out.Reasons = append(out.Reasons,
 			fmt.Sprintf("inclusion peer mappings are cyclic (witness: %s)", strings.Join(cycle, " -> ")))
-		return out
+		return SpecClass{out}
 	}
 	out.Reasons = append(out.Reasons, "inclusion peer mappings are acyclic (Definition 3.1)")
 
@@ -271,16 +288,27 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 			}
 		}
 	}
+	out.Class = class
+	return SpecClass{out}
+}
+
+// Query completes the classification for one query: comparisons in the
+// query make certain answers co-NP-complete (Thm 3.3(2)), and a class
+// still PTIME gets the summary reason. An undecidable class is final. The
+// returned Reasons are the caller's own copy.
+func (s SpecClass) Query(query lang.CQ) Classification {
+	out := Classification{Class: s.c.Class, Reasons: slices.Clone(s.c.Reasons)}
+	if out.Class == Undecidable {
+		return out
+	}
 	if len(query.Comps) > 0 {
-		class = maxComplexity(class, CoNP)
+		out.Class = maxComplexity(out.Class, CoNP)
 		out.Reasons = append(out.Reasons, "query uses comparison predicates (Thm 3.3(2))")
 	}
-
-	if class == PTime {
+	if out.Class == PTime {
 		out.Reasons = append(out.Reasons,
 			"equalities projection-free, definitional heads isolated, comparisons confined (Thms 3.2(1), 3.3(1))")
 	}
-	out.Class = class
 	return out
 }
 

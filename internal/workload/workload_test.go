@@ -116,11 +116,8 @@ func TestGenerateEndToEndReformulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.New(w.PDMS, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
+	r := core.New(w.PDMS, core.Options{})
+	out, err := r.Reformulate(w.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +156,7 @@ func TestGenerateTreeGrowsWithDiameter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.New(w.PDMS, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := core.New(w.PDMS, core.Options{})
 		st, err := r.BuildTree(w.Query)
 		if err != nil {
 			t.Fatal(err)

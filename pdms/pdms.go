@@ -61,7 +61,13 @@ type Network struct {
 	spec *ppl.PDMS     // guarded by mu (Extend swaps it; queries read it)
 	data *rel.Instance // guarded by mu (all mutation goes through AddFact)
 	opts Options
-	eng  *engine.Engine
+	// reform is the Reformulator for the current spec: its step-1 catalog
+	// is built once per spec generation (by newNetwork, then by Extend next
+	// to the specGen bump) and shared by every reformulation, traced or not.
+	// Guarded by mu: Extend replaces it under the write lock; reformulation
+	// only reads it, under either lock.
+	reform *core.Reformulator
+	eng    *engine.Engine
 	// specGen counts spec mutations (Extend); it keys the reformulation
 	// cache and is one component of every answer-cache key. Data mutations
 	// never bump it (AddFact cannot change reformulations) — they advance
@@ -90,6 +96,7 @@ func newNetwork(spec *ppl.PDMS, data *rel.Instance, opts Options) *Network {
 		spec:      spec,
 		data:      data,
 		opts:      opts,
+		reform:    core.New(spec, opts.core()),
 		eng:       engine.New(data),
 		answers:   engine.NewLRU(answerCacheSize),
 		reforms:   engine.NewLRU(reformCacheSize),
@@ -243,8 +250,10 @@ func (n *Network) Extend(src string) error {
 	// answers against a partially-extended spec would be stale. Bumping the
 	// spec generation invalidates every answer key, not just the touched
 	// relations' — a new mapping can change which relations a rewriting
-	// mentions.
+	// mentions. For the same reason the Reformulator is rebuilt from the
+	// (possibly partially extended) spec.
 	defer func() {
+		n.reform = core.New(n.spec, n.opts.core())
 		n.specGen++
 		n.invalidations++
 	}()
@@ -368,13 +377,7 @@ func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, 
 		sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
 		return &ref, nil
 	}
-	copts := n.opts.core()
-	copts.Trace = sp
-	r, err := core.New(n.spec, copts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := r.Reformulate(q)
+	out, err := n.reform.Reformulate(q, sp)
 	if err != nil {
 		return nil, err
 	}
